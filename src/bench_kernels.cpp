@@ -1,6 +1,7 @@
 // bench_kernels: times the interaction-list batch drain in isolation, without
 // a simulation around it, so kernel regressions are visible per backend and
-// per interaction kind.
+// per interaction kind. The header line names the instruction set the simd
+// backend dispatched to on this host.
 //
 // Two handcrafted source trees force the walk to emit exactly one kind of
 // interaction:
@@ -120,11 +121,10 @@ int main(int argc, char** argv) {
       make_pc_tree(parts, static_cast<std::uint32_t>(std::min<std::size_t>(n, 192)));
 
   std::cout << "bench_kernels: n=" << n << " groups=" << groups.size()
-            << " iters=" << iters << "\n";
+            << " iters=" << iters << " simd isa=" << kernel_isa_name(dispatched_kernel_isa())
+            << "\n";
 
-  const KernelBackend backends[] = {KernelBackend::kScalar, KernelBackend::kSimd,
-                                    KernelBackend::kSimdFloat};
-  for (const KernelBackend backend : backends) {
+  for (const KernelBackend backend : kKernelBackends) {
     // Fresh accumulators per case so repeated accumulation cannot overflow
     // into NaN comparisons; forces are not inspected here, only timed.
     for (std::size_t i = 0; i < parts.size(); ++i)

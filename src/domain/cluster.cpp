@@ -258,8 +258,9 @@ wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& 
                                             net_->close_reason() + ")");
     if (wire::frame_type(*frame) != wire::FrameType::kTrace) break;
     // A worker's observability sidecar, sent just ahead of its StepResult:
-    // estimate the worker's clock offset from the StepBegin/Trace round-trip
-    // and merge its spans onto the coordinator's clock.
+    // merge its spans onto the coordinator's clock. A worker on this host
+    // reads the same clock; any other gets an offset estimated from the
+    // StepBegin/Trace round-trip.
     const std::int64_t arrive_ns = now_ns();
     wire::TraceFrame tf = wire::decode_trace(*frame);
     BNS_CHECK(tf.src >= 0 && tf.src < static_cast<int>(post_ns.size()),
@@ -269,7 +270,9 @@ wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& 
     sync.coord_arrive_ns = arrive_ns;
     sync.worker_recv_ns = tf.recv_ns;
     sync.worker_send_ns = tf.send_ns;
-    trace::shift_spans(tf.spans, trace::estimate_clock_offset(sync));
+    trace::shift_spans(tf.spans, tf.clock_domain == trace::clock_domain()
+                                     ? 0
+                                     : trace::estimate_clock_offset(sync));
     spans.insert(spans.end(), std::make_move_iterator(tf.spans.begin()),
                  std::make_move_iterator(tf.spans.end()));
   }
@@ -854,6 +857,7 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
       tf.src = rank_id;
       tf.step = sb.step;
       tf.recv_ns = recv_ns;
+      tf.clock_domain = trace::clock_domain();
       tf.spans = trace::Tracer::instance().drain_thread();
       StepReport wr;
       wr.step = sb.step;

@@ -801,6 +801,7 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
      << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
      << "\", \"kernel\": \"" << info.kernel
+     << "\", \"kernel_isa\": \"" << kernel_isa_name(dispatched_kernel_isa())
      << "\", \"async\": " << (info.async ? "true" : "false")
      << ", \"let_cache\": " << (info.let_cache ? "true" : "false")
      << ", \"wire_version\": " << info.wire_version << "},\n \"steps\": [";

@@ -1051,7 +1051,7 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   cfg.balance = r.u8() != 0 ? BalanceMode::kCost : BalanceMode::kCount;
   cfg.trace = r.u8() != 0;
   const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimdFloat),
+  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "config kernel backend out of range");
   cfg.kernel = static_cast<KernelBackend>(kernel);
   const std::uint8_t let_cache = r.u8();
@@ -1391,6 +1391,7 @@ std::vector<std::uint8_t> encode_trace(const TraceFrame& tf) {
   w.i32(tf.step);
   put_i64(w, tf.recv_ns);
   put_i64(w, tf.send_ns);
+  w.u64(tf.clock_domain);
   w.u32(static_cast<std::uint32_t>(tf.spans.size()));
   for (const trace::Span& s : tf.spans) {
     put_string(w, s.name);
@@ -1413,6 +1414,7 @@ TraceFrame decode_trace(std::span<const std::uint8_t> frame) {
   tf.step = r.i32();
   tf.recv_ns = read_i64(r);
   tf.send_ns = read_i64(r);
+  tf.clock_domain = r.u64();
   const std::size_t nspans =
       r.array_count(r.u32(), kSpanMinBytes, "span count exceeds payload");
   tf.spans.resize(nspans);
@@ -1487,7 +1489,7 @@ JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
   spec.eps = r.f64();
   spec.dt = r.f64();
   const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimdFloat),
+  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "job kernel backend out of range");
   spec.kernel = static_cast<KernelBackend>(kernel);
   ParticleBatch batch = read_particle_payload(r);

@@ -43,9 +43,12 @@ namespace bonsai::domain::wire {
 // (MetricsQuery / MetricsReport). Version 7 adds the incremental LET
 // exchange: the LetDelta frame (a versioned per-pair patch against the LET
 // the peer already holds), the let-cache/churn knobs in Config, and the
-// delta accounting counters in StepResult.
+// delta accounting counters in StepResult. Version 8 narrows the kernel
+// selector of Config and JobSubmit to scalar (0) and simd (1): simd now
+// names the mixed-precision rsqrt drain, and the retired simd-float (2) is
+// rejected. It also adds the worker's clock domain to the Trace frame.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 7;
+inline constexpr std::uint16_t kVersion = 8;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -378,6 +381,7 @@ struct TraceFrame {
   int step = 0;
   std::int64_t recv_ns = 0;
   std::int64_t send_ns = 0;
+  std::uint64_t clock_domain = 0;  // the worker's trace::clock_domain()
   std::vector<trace::Span> spans;
   metrics::Snapshot metrics;
 };

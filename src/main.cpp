@@ -49,8 +49,9 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_switch("no-async", "lockstep stage loop (the PR-1 schedule, for diffing)");
   cli.add_option("balance", "M", "count | cost (feedback on measured gravity time)");
   cli.add_option("kernel", "B",
-                 "scalar | simd | simd-float: force backend draining the "
-                 "batched interaction lists (default simd)");
+                 "scalar | simd: force backend draining the batched interaction "
+                 "lists; simd is the float rsqrt drain on the host's widest ISA, "
+                 "scalar the double-precision reference (default simd)");
   cli.add_option("let-cache", "M",
                  "off | on: incremental LET exchange — per-pair caches and "
                  "delta frames instead of full LETs every step (default off)");
@@ -255,6 +256,16 @@ int run_worker_mode(const bonsai::CommandLine& cli,
                                     static_cast<std::uint16_t>(listen_port));
 }
 
+// --kernel B (default simd); the error lists every backend name.
+bonsai::KernelBackend parse_kernel(const bonsai::CommandLine& cli) {
+  const std::string name = cli.get("kernel", "simd");
+  if (const auto kernel = bonsai::kernel_backend_from_name(name)) return *kernel;
+  std::string names;
+  for (const bonsai::KernelBackend b : bonsai::kKernelBackends)
+    names += std::string(names.empty() ? "" : " or ") + bonsai::kernel_backend_name(b);
+  throw bonsai::CliError("--kernel: expected " + names + ", got '" + name + "'");
+}
+
 // Server mode: --serve P. Resident until a client sends --server-shutdown.
 int run_serve_mode(const bonsai::CommandLine& cli) {
   const std::int64_t port = cli.get_int("serve", 0);
@@ -373,12 +384,7 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.theta = cli.get_double("theta", 0.4);
     spec.eps = cli.get_double("eps", 1e-2);
     spec.dt = cli.get_double("dt", 1e-3);
-    const std::string kernel_name = cli.get("kernel", "simd");
-    const auto kernel = bonsai::kernel_backend_from_name(kernel_name);
-    if (!kernel)
-      throw bonsai::CliError("--kernel: expected scalar, simd or simd-float, got '" +
-                             kernel_name + "'");
-    spec.kernel = *kernel;
+    spec.kernel = parse_kernel(cli);
     const std::string snapshot_in = cli.get("snapshot-in", "");
     if (!snapshot_in.empty())
       spec.parts = serve::flatten_snapshot(serve::read_snapshot_file(snapshot_in));
@@ -462,12 +468,7 @@ int main(int argc, char** argv) {
     cfg.async = cli.get_bool("async", true) && !cli.get_bool("no-async", false);
     cfg.balance = cli.get("balance", "count") == "cost" ? bonsai::domain::BalanceMode::kCost
                                                         : bonsai::domain::BalanceMode::kCount;
-    const std::string kernel_name = cli.get("kernel", "simd");
-    const auto kernel = bonsai::kernel_backend_from_name(kernel_name);
-    if (!kernel)
-      throw bonsai::CliError("--kernel: expected scalar, simd or simd-float, got '" +
-                             kernel_name + "'");
-    cfg.kernel = *kernel;
+    cfg.kernel = parse_kernel(cli);
     const std::string let_cache_str = cli.get("let-cache", "off");
     if (let_cache_str != "off" && let_cache_str != "on")
       throw bonsai::CliError("--let-cache: expected off or on, got '" + let_cache_str +
@@ -526,7 +527,8 @@ int main(int argc, char** argv) {
     std::cout << "bonsai_sim: n=" << n << " ranks=" << cfg.nranks << " theta=" << cfg.theta
               << " eps=" << cfg.eps << " dt=" << cfg.dt << " steps=" << steps
               << " transport=" << transport
-              << " kernel=" << bonsai::kernel_backend_name(cfg.kernel)
+              << " kernel=" << bonsai::kernel_backend_name(cfg.kernel) << " ("
+              << bonsai::kernel_isa_name(bonsai::dispatched_kernel_isa()) << ")"
               << (cfg.async ? " schedule=async" : " schedule=lockstep")
               << (cfg.balance == bonsai::domain::BalanceMode::kCost ? " balance=cost" : "")
               << (cfg.let_cache ? " let-cache=on" : "") << "\n";

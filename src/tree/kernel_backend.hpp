@@ -9,22 +9,24 @@
 // side of the device interaction buffer, the drain is the kernel launch.
 //
 // Backends:
-//   scalar     — replays today's pp_kernel/pc_kernel per staged interaction,
-//                in staged order: the correctness reference.
-//   simd       — dense double-precision SoA inner loops over padded batches
-//                (#pragma omp simd with explicit reductions, so the loops
-//                vectorize under strict FP semantics).
-//   simd-float — the paper's single-precision device path: float sources and
-//                float batch arithmetic, accumulated into the double target
-//                arrays once per batch.
+//   scalar — replays pp_kernel/pc_kernel per staged interaction, in staged
+//            order, in double precision: the bitwise correctness reference.
+//   simd   — the paper's mixed-precision device path (§III-A, after Gaburov
+//            et al. 2010): sources and targets are staged in float relative
+//            to the walk's centre (a target position), r^-1 comes from the
+//            hardware reciprocal-square-root estimate plus one Newton step,
+//            and each batch's float sums are added into the double target
+//            arrays. The instruction set is picked once per process
+//            (KernelIsa): AVX-512, AVX2+FMA or a portable fallback.
 //
-// Batches are padded to the SIMD width with inert lanes (zero mass, far-away
-// position) and self-interactions are masked per lane instead of branched
-// around, so the inner loops are branch-free. InteractionStats carries both
-// the useful and the padded interaction counts (util/flops.hpp) so the
-// Gflop/s accounting stays honest.
+// The simd drain pads each walk's targets to kKernelBatchPad lanes (repeating
+// the last target, whose sums are dropped) and masks self-interactions per
+// lane instead of branching around them, so the inner loops are branch-free.
+// InteractionStats carries both the useful and the padded interaction counts
+// (util/flops.hpp) so the Gflop/s accounting stays honest.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -33,21 +35,43 @@
 #include "tree/octree.hpp"
 #include "tree/particle.hpp"
 #include "util/flops.hpp"
+#include "util/vec3.hpp"
 
 namespace bonsai {
 
 enum class KernelBackend : std::uint8_t {
   kScalar = 0,
   kSimd = 1,
-  kSimdFloat = 2,
 };
 
-// Stable CLI / wire / report names: "scalar", "simd", "simd-float".
+// Stable CLI / wire / report names: "scalar", "simd".
 const char* kernel_backend_name(KernelBackend backend);
 std::optional<KernelBackend> kernel_backend_from_name(std::string_view name);
 
-// Lanes a batch is padded to. 8 doubles = one AVX-512 vector (two AVX2).
-inline constexpr std::size_t kKernelBatchPad = 8;
+// Every backend, in enum order (CLI help and error messages list these).
+inline constexpr std::array<KernelBackend, 2> kKernelBackends = {KernelBackend::kScalar,
+                                                                 KernelBackend::kSimd};
+
+// Instruction-set variants of the simd drain. All share one loop body; only
+// the reciprocal-square-root estimate differs per ISA.
+enum class KernelIsa : std::uint8_t {
+  kPortable = 0,  // plain vector code, exact 1/sqrt estimate
+  kAvx2 = 1,      // rsqrtps + FMA, 8 lanes
+  kAvx512 = 2,    // rsqrt14ps, 16 lanes
+};
+
+const char* kernel_isa_name(KernelIsa isa);  // "portable", "avx2+fma", "avx512"
+
+// True when `isa` is compiled into this binary and the host CPU runs it.
+bool kernel_isa_supported(KernelIsa isa);
+
+// The widest supported variant, detected once per process. The simd drain
+// uses it unless a queue is built for a specific variant.
+KernelIsa dispatched_kernel_isa();
+
+// Lanes a batch is padded to: one AVX-512 float vector (two AVX2, four
+// portable), so every ISA evaluates exactly the padded lanes.
+inline constexpr std::size_t kKernelBatchPad = 16;
 
 // Per-walk parameters shared by every batch of one group walk.
 struct WalkParams {
@@ -62,24 +86,26 @@ struct WalkParams {
 //   ... push_cell / push_leaf while walking ...
 //   InteractionStats s = queue.finish_walk();
 //
-// Staged data persists across walks (one drain can cover several groups);
-// when the staged source slots exceed `capacity` the queue flushes — drains
-// every pending batch through the backend and resets the buffers — so the
-// staging memory stays bounded no matter how deep a walk opens the tree.
+// finish_walk drains everything staged. When the staged source slots exceed
+// `capacity` mid-walk the queue flushes — drains every pending batch through
+// the backend and resets the buffers — so the staging memory stays bounded no
+// matter how deep a walk opens the tree.
 class InteractionQueue {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 14;
 
-  explicit InteractionQueue(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  // `isa` selects the simd variant; production code keeps the dispatched
+  // one, tests pass each supported variant to check them all.
+  explicit InteractionQueue(std::size_t capacity = kDefaultCapacity,
+                            KernelIsa isa = dispatched_kernel_isa());
 
   void begin_walk(const TreeView& src, ParticleSet& targets, const WalkParams& params,
                   KernelBackend backend, std::uint32_t target_begin,
                   std::uint32_t target_end);
 
-  // Stage one MAC-accepted cell (internal node or multipole leaf) against the
-  // current walk's target range.
-  void push_cell(const TreeNode& node);
+  // Stage the MAC-accepted cell src.nodes[node] (internal node or multipole
+  // leaf) against the current walk's target range.
+  void push_cell(std::uint32_t node);
 
   // Stage an opened particle leaf's source particles against the current
   // walk's target range.
@@ -91,25 +117,24 @@ class InteractionQueue {
   InteractionStats finish_walk();
 
   std::size_t capacity() const { return capacity_; }
+  KernelIsa isa() const { return isa_; }
 
  private:
   struct Batch {
-    std::uint32_t target_begin = 0, target_end = 0;
-    std::uint32_t begin = 0;         // staged-slot range [begin, end)
-    std::uint32_t end = 0;           // useful slots
-    std::uint32_t padded_end = 0;    // end of the padded range
-    std::uint64_t self_pairs = 0;    // masked self-interactions (leaf batches)
+    std::uint32_t begin = 0, end = 0;  // staged-slot range [begin, end)
   };
 
   void close_cell_run();
   void close_leaf_run();
   void flush();
-  void drain_cell_batch(const Batch& b) const;
-  void drain_leaf_batch(const Batch& b) const;
-  void pad_cells();
-  void pad_leaves();
+  void stage_targets();
+  void drain_cell_batch(const Batch& b);
+  void drain_leaf_batch(const Batch& b);
+  void drain_simd_batch(const Batch& b, bool cells);
+  std::uint64_t evaluated_targets() const;
 
   std::size_t capacity_;
+  KernelIsa isa_;
 
   // Walk context (set by begin_walk).
   TreeView src_{};
@@ -117,20 +142,24 @@ class InteractionQueue {
   WalkParams params_{};
   KernelBackend backend_ = KernelBackend::kSimd;
   std::uint32_t target_begin_ = 0, target_end_ = 0;
+  Vec3d centre_{};  // simd staging origin: the first target's position
   std::uint32_t cell_run_begin_ = 0, leaf_run_begin_ = 0;
 
-  // Staged cell SoA: COM, mass and the six unique quadrupole entries
-  // (order xx, xy, xz, yy, yz, zz, matching Quadrupole::q).
-  std::vector<double> cx_, cy_, cz_, cm_;
-  std::vector<double> cq_[6];
-  std::vector<float> fcx_, fcy_, fcz_, fcm_;
-  std::vector<float> fcq_[6];
+  // Staged sources. Both backends record what they stage by index — cells by
+  // node index, leaf particles by particle index — and the scalar replay
+  // reads the double-precision source data through those indices. The simd
+  // backend additionally stages float SoA relative to centre_: cells as
+  // x y z m qxx qxy qxz qyy qyz qzz (Quadrupole::q order), leaves as x y z m.
+  std::vector<std::uint32_t> cell_node_, leaf_part_;
+  std::array<std::vector<float>, 10> fcell_;
+  std::array<std::vector<float>, 4> fleaf_;
 
-  // Staged leaf-particle SoA. sidx_ holds the source's global particle index
-  // for self-masking; kInvalidSource for non-self walks and padding lanes.
-  std::vector<double> sx_, sy_, sz_, sm_;
-  std::vector<float> fsx_, fsy_, fsz_, fsm_;
-  std::vector<std::uint32_t> sidx_;
+  // simd drain scratch: the walk's targets as float lanes (positions relative
+  // to centre_, global index for self-masking), padded to kKernelBatchPad,
+  // and the per-lane float sums of one batch.
+  std::array<std::vector<float>, 3> ftarget_;
+  std::vector<std::int32_t> ftarget_idx_;
+  std::array<std::vector<float>, 4> lane_sum_;
 
   std::vector<Batch> cell_batches_, leaf_batches_;
   InteractionStats stats_{};

@@ -136,12 +136,13 @@ InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& ta
   std::vector<std::int32_t> stack;
   stack.push_back(0);
   while (!stack.empty()) {
-    const TreeNode& node = src.nodes[static_cast<std::size_t>(stack.back())];
+    const auto index = static_cast<std::uint32_t>(stack.back());
+    const TreeNode& node = src.nodes[index];
     stack.pop_back();
     if (node.count() == 0 && node.kind == NodeKind::kParticleLeaf) continue;
 
     if (mac_accept(group.box, node)) {
-      queue.push_cell(node);
+      queue.push_cell(index);
       continue;
     }
     switch (node.kind) {
@@ -153,7 +154,7 @@ InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& ta
         queue.push_leaf(node);
         break;
       case NodeKind::kMultipoleLeaf:
-        queue.push_cell(node);
+        queue.push_cell(index);
         break;
     }
   }

@@ -12,13 +12,17 @@
 
 namespace bonsai {
 
-// Median of |a_test - a_ref| / max(|a_ref|, floor) over all particles.
-inline double median_acc_error(const ParticleSet& test, const ParticleSet& ref) {
+// Quantile q of |a_test - a_ref| / max(|a_ref|, floor) over all particles.
+inline double acc_error_percentile(const ParticleSet& test, const ParticleSet& ref, double q) {
   std::vector<double> err;
   err.reserve(ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
     err.push_back(norm(test.acc(i) - ref.acc(i)) / std::max(norm(ref.acc(i)), 1e-300));
-  return percentile(err, 0.5);
+  return percentile(err, q);
+}
+
+inline double median_acc_error(const ParticleSet& test, const ParticleSet& ref) {
+  return acc_error_percentile(test, ref, 0.5);
 }
 
 // Root-mean-square of the absolute acceleration difference.

@@ -1,7 +1,10 @@
 #include "util/trace.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <ostream>
+#include <random>
+#include <string>
 
 namespace bonsai::trace {
 
@@ -105,6 +108,25 @@ std::int64_t estimate_clock_offset(const ClockSync& s) {
   return ((s.coord_post_ns + s.coord_arrive_ns) -
           (s.worker_recv_ns + s.worker_send_ns)) /
          2;
+}
+
+std::uint64_t clock_domain() {
+  static const std::uint64_t id = [] {
+    std::string boot;
+    std::ifstream in("/proc/sys/kernel/random/boot_id");
+    if (!std::getline(in, boot) || boot.empty()) {
+      std::random_device rd;
+      boot = std::to_string(rd()) + ":" + std::to_string(rd()) + ":" +
+             std::to_string(now_ns());
+    }
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+    for (const char c : boot) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    return h | 1;
+  }();
+  return id;
 }
 
 void shift_spans(std::vector<Span>& spans, std::int64_t offset_ns) {

@@ -138,6 +138,13 @@ struct ClockSync {
 // express it on the coordinator's clock. Assumes symmetric network delay.
 std::int64_t estimate_clock_offset(const ClockSync& s);
 
+// Identifies the clock now_ns() reads in this process. Processes of one Linux
+// boot share it (steady_clock is CLOCK_MONOTONIC), so equal ids mean an exact
+// offset of 0 and no estimate is needed; the id then hashes the boot id.
+// Where the boot cannot be identified the id is unique to the process, so
+// the merge falls back to the estimate. Never 0.
+std::uint64_t clock_domain();
+
 // Shifts every span's begin/end by offset_ns (in place).
 void shift_spans(std::vector<Span>& spans, std::int64_t offset_ns);
 

@@ -15,7 +15,6 @@
 
 #include "domain/cluster.hpp"
 #include "domain/simulation.hpp"
-#include "util/compare.hpp"
 #include "util/ic.hpp"
 
 namespace bonsai {
@@ -69,6 +68,23 @@ SimConfig forces_only_config(int nranks) {
   return cfg;
 }
 
+// Bitwise equality of two gathered (id-sorted) particle sets: positions and
+// forces. Every rank walks its own tree and the imported LETs in a fixed
+// order on either transport, so the bits match, not just the physics.
+void expect_same_particles(const ParticleSet& got, const ParticleSet& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(got.id[i], ref.id[i]);
+    EXPECT_EQ(got.x[i], ref.x[i]) << "particle " << i;
+    EXPECT_EQ(got.y[i], ref.y[i]) << "particle " << i;
+    EXPECT_EQ(got.z[i], ref.z[i]) << "particle " << i;
+    EXPECT_EQ(got.ax[i], ref.ax[i]) << "particle " << i;
+    EXPECT_EQ(got.ay[i], ref.ay[i]) << "particle " << i;
+    EXPECT_EQ(got.az[i], ref.az[i]) << "particle " << i;
+    EXPECT_EQ(got.pot[i], ref.pot[i]) << "particle " << i;
+  }
+}
+
 std::uint64_t traffic_bytes(const domain::StepReport& rep, wire::FrameType type) {
   std::uint64_t bytes = 0;
   for (const wire::PeerTraffic& t : rep.traffic)
@@ -119,13 +135,13 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
   EXPECT_EQ(sp_rep.let_cells, in_rep.let_cells);
   EXPECT_EQ(sp_rep.let_particles, in_rep.let_particles);
 
-  // Identical decomposition + identical per-rank walks; only the remote-LET
-  // accumulation order (arrival order) may differ, which perturbs forces at
-  // rounding level — far below the ~1e-6 rank-boundary MAC error.
-  ASSERT_EQ(sp_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(sp_got, in_got), 1e-9);
+  // Identical decomposition, identical per-rank walks and a fixed remote-LET
+  // order: the forces match bit for bit.
+  expect_same_particles(sp_got, in_got);
 
-  // Aggregated worker energy partials agree with the in-process sums.
+  // Aggregated worker energy partials agree with the in-process sums; the
+  // coordinator adds per-worker partials, a different summation order than
+  // the in-process total, so these agree to rounding rather than bitwise.
   EXPECT_NEAR(spmd.kinetic_energy(), inproc.kinetic_energy(),
               1e-9 * std::abs(inproc.kinetic_energy()) + 1e-12);
   EXPECT_NEAR(spmd.potential_energy(), inproc.potential_energy(),
@@ -256,8 +272,7 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   const domain::StepReport rep2 = mesh.step();  // steady state
   const ParticleSet mesh_got = mesh.gather();
 
-  ASSERT_EQ(mesh_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(mesh_got, in_got), 1e-9);
+  expect_same_particles(mesh_got, in_got);
   EXPECT_EQ(rep2.num_particles, in_rep2.num_particles);
   EXPECT_EQ(rep2.migrated, in_rep2.migrated);
 
@@ -291,8 +306,7 @@ TEST(ClusterHubMesh, MatchesInProcForces) {
   const domain::StepReport rep = hub.step();
   const ParticleSet hub_got = hub.gather();
 
-  ASSERT_EQ(hub_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(hub_got, in_got), 1e-9);
+  expect_same_particles(hub_got, in_got);
   EXPECT_GT(traffic_frames(rep, wire::FrameType::kLet), 0u);  // LETs did flow
   EXPECT_TRUE(rep.routed.empty());                            // just not through the hub
 }
@@ -362,8 +376,7 @@ TEST(ClusterHub, StillMatchesInProcForces) {
   const domain::StepReport rep = hub.step();
   const ParticleSet hub_got = hub.gather();
 
-  ASSERT_EQ(hub_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(hub_got, in_got), 1e-9);
+  expect_same_particles(hub_got, in_got);
   // Hub mode's per-step Particles-class volume stays O(N): the StepBegin /
   // StepResult frames carry the full population.
   EXPECT_GT(rep.part_wire.bytes, global.size() * 100);

@@ -637,5 +637,64 @@ TEST(Simulation, MultiStepPreservesPopulation) {
   }
 }
 
+// Positions and forces of two gathered (id-sorted) runs, bit for bit.
+void expect_bitwise_equal(const ParticleSet& got, const ParticleSet& ref) {
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(got.id[i], ref.id[i]);
+    EXPECT_EQ(got.x[i], ref.x[i]) << "particle " << i;
+    EXPECT_EQ(got.y[i], ref.y[i]) << "particle " << i;
+    EXPECT_EQ(got.z[i], ref.z[i]) << "particle " << i;
+    EXPECT_EQ(got.ax[i], ref.ax[i]) << "particle " << i;
+    EXPECT_EQ(got.ay[i], ref.ay[i]) << "particle " << i;
+    EXPECT_EQ(got.az[i], ref.az[i]) << "particle " << i;
+    EXPECT_EQ(got.pot[i], ref.pot[i]) << "particle " << i;
+  }
+}
+
+TEST(Simulation, DefaultKernelIsBitwiseReproducibleAcrossRepeatsAndThreads) {
+  // The default (simd) async pipeline at a fixed rank count: a repeat run
+  // and a run with more threads per rank reproduce every position and force
+  // bit for bit. Each target group drains its own batches on one thread in
+  // walk order, and remote LETs are walked in a fixed order, so neither the
+  // thread schedule nor arrival timing can reach the arithmetic. (Async mode
+  // clamps threads per rank to the host's per-rank share; the device-level
+  // check below pins 1 vs 4 threads on any host.)
+  const ParticleSet global = make_plummer(4096, 29);
+  const auto run = [&global](std::size_t threads_per_rank) {
+    SimConfig cfg;
+    cfg.nranks = 4;
+    cfg.eps = 1e-2;
+    cfg.dt = 1e-3;
+    cfg.threads_per_rank = threads_per_rank;
+    EXPECT_EQ(cfg.kernel, KernelBackend::kSimd);
+    Simulation sim(cfg);
+    sim.init(global);
+    for (int step = 0; step < 3; ++step) sim.step();
+    return sim.gather();
+  };
+  const ParticleSet first = run(1);
+  expect_bitwise_equal(run(1), first);
+  expect_bitwise_equal(run(4), first);
+
+  ParticleSet parts = global;
+  sfc::KeySpace space(parts.bounds());
+  sort_by_keys(parts, space);
+  Octree tree;
+  tree.build(parts, Octree::kDefaultNLeaf);
+  tree.compute_properties(parts, 0.4);
+  const std::vector<TargetGroup> groups = make_groups(parts, 64);
+  TraversalConfig tcfg;
+  tcfg.eps = 1e-2;
+  const auto device_forces = [&](std::size_t threads) {
+    ParticleSet out = parts;
+    out.zero_forces();
+    Device device(threads);
+    device.compute_forces(tree.view(out), out, groups, tcfg, /*self=*/true);
+    return out;
+  };
+  expect_bitwise_equal(device_forces(4), device_forces(1));
+}
+
 }  // namespace
 }  // namespace bonsai

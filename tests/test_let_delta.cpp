@@ -94,7 +94,7 @@ void expect_walkable(const LetTree& let) {
   }
 }
 
-TEST(LetDelta, WireVersionIsSeven) { EXPECT_EQ(wire::kVersion, 7); }
+TEST(LetDelta, WireVersionIsEight) { EXPECT_EQ(wire::kVersion, 8); }
 
 TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   DriftingExporter source(512, 7);

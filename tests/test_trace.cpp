@@ -263,6 +263,13 @@ TEST(Trace, ClockOffsetMergeRestoresCausalOrder) {
 // on_listen seam) traces a step; the coordinator's merged report must carry
 // remote-gravity spans from every rank, causally ordered against the peer's
 // LET export even after the per-worker clock shifts.
+TEST(Trace, ClockDomainIsStableAndNonZero) {
+  // Nonzero so a Trace frame's default (0) never claims the coordinator's
+  // clock; stable so every frame of this process carries the same id.
+  EXPECT_NE(trace::clock_domain(), 0u);
+  EXPECT_EQ(trace::clock_domain(), trace::clock_domain());
+}
+
 TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
   struct WorkerPool {
     std::vector<std::thread> threads;

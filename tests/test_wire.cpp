@@ -475,6 +475,41 @@ TEST(Wire, ControlFramesRoundTrip) {
   EXPECT_EQ(back.kernel, KernelBackend::kScalar);
 }
 
+// Offset of the one byte in which two encodings differ.
+std::size_t only_differing_byte(const std::vector<std::uint8_t>& a,
+                                const std::vector<std::uint8_t>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::vector<std::size_t> diffs;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i)
+    if (a[i] != b[i]) diffs.push_back(i);
+  EXPECT_EQ(diffs.size(), 1u);
+  return diffs.empty() ? 0 : diffs.front();
+}
+
+TEST(Wire, RetiredKernelSelectorIsRejected) {
+  // Wire v8: kernel byte 1 is the mixed-precision simd drain and 2 (the
+  // retired simd-float) is out of range, in Config and in JobSubmit alike.
+  domain::SimConfig cfg;
+  cfg.kernel = KernelBackend::kScalar;
+  const std::vector<std::uint8_t> scalar_cfg = wire::encode_config(cfg);
+  cfg.kernel = KernelBackend::kSimd;
+  std::vector<std::uint8_t> bad_cfg = wire::encode_config(cfg);
+  const std::size_t cfg_at = only_differing_byte(scalar_cfg, bad_cfg);
+  EXPECT_EQ(bad_cfg[cfg_at], 1);
+  bad_cfg[cfg_at] = 2;
+  EXPECT_THROW(wire::decode_config(bad_cfg), wire::WireError);
+
+  wire::JobSpec spec;
+  spec.kernel = KernelBackend::kScalar;
+  const std::vector<std::uint8_t> scalar_job = wire::encode_job_submit(spec);
+  spec.kernel = KernelBackend::kSimd;
+  std::vector<std::uint8_t> bad_job = wire::encode_job_submit(spec);
+  const std::size_t job_at = only_differing_byte(scalar_job, bad_job);
+  EXPECT_EQ(bad_job[job_at], 1);
+  bad_job[job_at] = 2;
+  EXPECT_THROW(wire::decode_job_submit(bad_job), wire::WireError);
+}
+
 TEST(Wire, StepBeginAndResultRoundTrip) {
   wire::StepBegin sb;
   sb.step = 4;
@@ -533,6 +568,7 @@ wire::TraceFrame make_trace_frame() {
   tf.step = 7;
   tf.recv_ns = 1'000'000'000;
   tf.send_ns = 1'004'200'000;
+  tf.clock_domain = 0x0123456789abcdefull;
   trace::Span a;
   a.name = "worker.step";
   a.begin_ns = 1'000'000'000;
@@ -571,6 +607,7 @@ TEST(Wire, TraceFrameRoundTripsSpansAndMetrics) {
   EXPECT_EQ(back.step, 7);
   EXPECT_EQ(back.recv_ns, tf.recv_ns);
   EXPECT_EQ(back.send_ns, tf.send_ns);
+  EXPECT_EQ(back.clock_domain, tf.clock_domain);
   ASSERT_EQ(back.spans.size(), 2u);
   EXPECT_EQ(back.spans[0].name, "worker.step");
   EXPECT_EQ(back.spans[0].begin_ns, tf.spans[0].begin_ns);
@@ -840,8 +877,7 @@ TEST(Wire, JobFramesByteFlipsEitherDecodeOrThrow) {
         EXPECT_GE(spec.steps, 0);
         EXPECT_GE(spec.ranks, 0);
         EXPECT_LE(spec.ranks, 255);
-        EXPECT_LE(static_cast<int>(spec.kernel),
-                  static_cast<int>(KernelBackend::kSimdFloat));
+        EXPECT_LE(static_cast<int>(spec.kernel), static_cast<int>(KernelBackend::kSimd));
         EXPECT_LE(spec.name.size(), bad.size());
       } catch (const wire::WireError&) {
       }
