@@ -787,7 +787,10 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     frame = demux.recv(FrameDemux::Class::kControl);
     if (!frame) throw coordinator_down("coordinator disconnected");
     const wire::FrameType type = wire::frame_type(*frame);
-    if (type == wire::FrameType::kShutdown) return 0;
+    if (type == wire::FrameType::kShutdown) {
+      wire::decode_shutdown(*frame);
+      return 0;
+    }
     if (type != wire::FrameType::kStepBegin)
       throw std::runtime_error("worker: unexpected frame type from coordinator");
 

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <map>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -15,52 +17,171 @@ namespace {
 
 constexpr bool kHostLittle = std::endian::native == std::endian::little;
 
-// Per-node wire footprint: keys (16) + particle range (8) + child link (5) +
-// level/kind (2) + box (48) + multipole (80) + rcrit (8).
-constexpr std::size_t kNodeBytes = 167;
+// --- Archives -----------------------------------------------------------------
+// Each message and each shared record is described once, by a
+//
+//   template <class Ar> void fields(Ar& ar, T& value)
+//
+// that names its fields in wire order. Three archives run a description: the
+// Writer encodes, the bounds-checked Reader decodes, and the Sizer measures
+// the smallest encoding (every count zero), which sizes the count checks. The
+// archive is a template parameter, so each (archive, message) pair compiles
+// to straight-line code with no per-field dispatch. A description uses:
+//
+//   ar(a, b, ...)                fixed-width little-endian scalars, records
+//                                with a fields(), std::arrays, tuples, strings
+//                                (u32 length + bytes), and vectors whose size
+//                                is already set (their elements only);
+//   ar.bounded(v, max, what)     an enum or flag as one byte, at most `max`;
+//   ar.resize(c, n, bytes, what) size container c (or a tuple of them) to n
+//                                elements of at least `bytes` wire bytes each:
+//                                the Reader checks they fit in the rest of the
+//                                payload before allocating, the Writer that c
+//                                already holds n;
+//   ar.sequence(c, what)         a u32 count, then the elements (vector, map);
+//   ar.require(cond, what)       a field rule: the Reader enforces it, the
+//                                Writer and the Sizer ignore it.
+//
+// Decoding archives (Reader, Sizer) fill the value in; only the Writer may be
+// handed const data.
 
-// Per-particle footprint without / with the force block.
-constexpr std::size_t kParticleBytes = 9 * 8;
-constexpr std::size_t kParticleForceBytes = 13 * 8;
+template <class T> struct IsVector : std::false_type {};
+template <class T> struct IsVector<std::vector<T>> : std::true_type {};
+// Vectors of scalars travel as one block.
+template <class T> struct IsBlock : std::false_type {};
+template <class T> struct IsBlock<std::vector<T>> : std::is_arithmetic<T> {};
+template <class T> struct IsArray : std::false_type {};
+template <class T, std::size_t N> struct IsArray<std::array<T, N>> : std::true_type {};
+template <class T> struct IsTuple : std::false_type {};
+template <class... Ts> struct IsTuple<std::tuple<Ts...>> : std::true_type {};
+
+// The unsigned integer a scalar travels as.
+template <class T>
+using Bits = std::conditional_t<
+    sizeof(T) == 1, std::uint8_t,
+    std::conditional_t<sizeof(T) == 2, std::uint16_t,
+                       std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>>>;
+
+template <class... Ts>
+std::size_t min_size();
+
+// Apply `fn` to container `c`, or to each container of a tuple of them.
+template <class C, class Fn>
+void each(C& c, Fn&& fn) {
+  if constexpr (IsTuple<std::remove_const_t<C>>::value)
+    std::apply([&](auto&... x) { (fn(x), ...); }, c);
+  else
+    fn(c);
+}
+
+template <class Derived>
+class Archive {
+ public:
+  template <class... Ts>
+  void operator()(Ts&... vs) {
+    (item(vs), ...);
+  }
+
+  template <class E>
+  void bounded(E& v, std::type_identity_t<E> max, const char* what) {
+    auto b = static_cast<std::uint8_t>(v);
+    self().scalar(b);
+    self().require(b <= static_cast<std::uint8_t>(max), what);
+    if constexpr (Derived::kDecoding) v = static_cast<E>(b);
+  }
+
+  template <class T>
+  void sequence(std::vector<T>& v, const char* what) {
+    auto n = static_cast<std::uint32_t>(v.size());
+    self().scalar(n);
+    self().resize(v, n, min_size<T>(), what);
+    item(v);
+  }
+
+  // A map travels as its (key, value) pairs in key order.
+  template <class K, class V>
+  void sequence(std::map<K, V>& m, const char* what) {
+    std::vector<std::pair<K, V>> pairs;
+    if constexpr (!Derived::kDecoding) pairs.assign(m.begin(), m.end());
+    sequence(pairs, what);
+    if constexpr (Derived::kDecoding)
+      for (auto& [k, v] : pairs) m.insert_or_assign(std::move(k), std::move(v));
+  }
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+
+  template <class T>
+  void item(T& v) {
+    if constexpr (std::is_const_v<T>) {
+      static_assert(!Derived::kDecoding, "a decoding archive needs a mutable value");
+      item(const_cast<std::remove_const_t<T>&>(v));  // the Writer only reads it
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      static_assert(!std::is_same_v<T, bool>, "flags travel through bounded()");
+      self().scalar(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      auto n = static_cast<std::uint32_t>(v.size());
+      self().scalar(n);
+      self().resize(v, n, min_size<char>(), "string exceeds payload");
+      self().span(std::span<char>(v));
+    } else if constexpr (IsBlock<T>::value) {
+      self().span(std::span(v));
+    } else if constexpr (IsVector<T>::value || IsArray<T>::value) {
+      for (auto& e : v) item(e);
+    } else if constexpr (IsTuple<T>::value) {
+      std::apply([this](auto&... c) { (item(c), ...); }, v);
+    } else {
+      fields(self(), v);
+    }
+  }
+};
 
 // --- Flat little-endian writer ----------------------------------------------
-class Writer {
+class Writer : public Archive<Writer> {
  public:
-  explicit Writer(FrameType type) {
-    buf_.reserve(64);
-    header(type);
-  }
+  static constexpr bool kDecoding = false;
 
-  // Build the frame inside `reuse` (its capacity carries over), for posting
-  // paths that encode every step: finish() hands the buffer back to the
-  // caller, who keeps it for the next encode.
-  Writer(FrameType type, std::vector<std::uint8_t>&& reuse) : buf_(std::move(reuse)) {
+  // Build a frame of `type` inside `reuse` (its capacity carries over, for
+  // posting paths that encode every step: finish() hands the buffer back to
+  // the caller, who keeps it for the next encode).
+  explicit Writer(FrameType type, std::vector<std::uint8_t> reuse = {})
+      : buf_(std::move(reuse)) {
     buf_.clear();
     if (buf_.capacity() < 64) buf_.reserve(64);
-    header(type);
+    put(kMagic);
+    put(kVersion);
+    put(static_cast<std::uint16_t>(type));
+    put(std::uint64_t{0});  // payload length, patched by finish()
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(v); }
-  void u32(std::uint32_t v) { raw(v); }
-  void u64(std::uint64_t v) { raw(v); }
-  void i32(std::int32_t v) { raw(static_cast<std::uint32_t>(v)); }
-  void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-  void f64_span(std::span<const double> v) { raw_span(v); }
-  void u64_span(std::span<const std::uint64_t> v) { raw_span(v); }
-  void bytes(std::span<const std::uint8_t> v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
-
-  void vec3(const Vec3d& v) {
-    f64(v.x);
-    f64(v.y);
-    f64(v.z);
+  template <class T>
+  void put(T v) {
+    const auto bits = std::bit_cast<Bits<T>>(v);
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
   }
 
-  void aabb(const AABB& b) {
-    vec3(b.lo);
-    vec3(b.hi);
+  template <class T>
+  void scalar(const T& v) {
+    put(v);
   }
+
+  template <class T>
+  void span(std::span<T> v) {
+    if constexpr (kHostLittle) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+      buf_.insert(buf_.end(), p, p + v.size_bytes());
+    } else {
+      for (const T x : v) put(x);
+    }
+  }
+
+  template <class C>
+  void resize(C& c, std::size_t n, std::size_t, const char*) {
+    each(c, [n](auto& x) { BNS_CHECK(x.size() == n, "array length disagrees with its count"); });
+  }
+
+  void require(bool, const char*) {}
 
   std::vector<std::uint8_t> finish() {
     const std::uint64_t payload = buf_.size() - kHeaderBytes;
@@ -71,35 +192,14 @@ class Writer {
   }
 
  private:
-  void header(FrameType type) {
-    u32(kMagic);
-    u16(kVersion);
-    u16(static_cast<std::uint16_t>(type));
-    u64(0);  // payload length, patched by finish()
-  }
-
-  template <typename T>
-  void raw(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  template <typename T>
-  void raw_span(std::span<const T> v) {
-    if constexpr (kHostLittle) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-      buf_.insert(buf_.end(), p, p + v.size_bytes());
-    } else {
-      for (const T x : v) raw(std::bit_cast<std::uint64_t>(x));
-    }
-  }
-
   std::vector<std::uint8_t> buf_;
 };
 
 // --- Bounds-checked little-endian reader -------------------------------------
-class Reader {
+class Reader : public Archive<Reader> {
  public:
+  static constexpr bool kDecoding = true;
+
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
@@ -108,31 +208,39 @@ class Reader {
     if (!cond) throw WireError(std::string("wire decode: ") + what);
   }
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return raw<std::uint16_t>(); }
-  std::uint32_t u32() { return raw<std::uint32_t>(); }
-  std::uint64_t u64() { return raw<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(raw<std::uint32_t>()); }
-  double f64() { return std::bit_cast<double>(raw<std::uint64_t>()); }
-
-  void f64_span(std::span<double> out) { raw_span(out); }
-  void u64_span(std::span<std::uint64_t> out) { raw_span(out); }
-
-  // Sized-array handshake: validate that `count` elements of `elem_bytes`
-  // each actually fit in the remaining payload *before* any allocation, so a
-  // corrupted count can neither overflow nor trigger a huge resize.
-  std::size_t array_count(std::uint64_t count, std::size_t elem_bytes, const char* what) {
-    require(elem_bytes == 0 || count <= remaining() / elem_bytes, what);
-    return static_cast<std::size_t>(count);
+  template <class T>
+  T get() {
+    const auto s = take(sizeof(T));
+    Bits<T> bits = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      bits = static_cast<Bits<T>>(bits | (static_cast<Bits<T>>(s[i]) << (8 * i)));
+    return std::bit_cast<T>(bits);
   }
 
-  Vec3d vec3() { return {f64(), f64(), f64()}; }
+  template <class T>
+  void scalar(T& v) {
+    v = get<T>();
+  }
 
-  AABB aabb() {
-    AABB b;
-    b.lo = vec3();
-    b.hi = vec3();
-    return b;
+  template <class T>
+  void span(std::span<T> out) {
+    if (out.empty()) return;  // empty vector => null data(); memcpy(null,...) is UB
+    const auto s = take(out.size_bytes());
+    if constexpr (kHostLittle) {
+      std::memcpy(out.data(), s.data(), s.size());
+    } else {
+      Reader sub(s);
+      for (T& x : out) x = sub.get<T>();
+    }
+  }
+
+  // Validate that `n` elements of `elem_bytes` each actually fit in the rest
+  // of the payload *before* allocating, so a corrupted count can neither
+  // overflow nor trigger a huge allocation.
+  template <class C>
+  void resize(C& c, std::size_t n, std::size_t elem_bytes, const char* what) {
+    require(n <= remaining() / elem_bytes, what);
+    each(c, [n](auto& x) { x.resize(n); });
   }
 
   void done() { require(pos_ == bytes_.size(), "trailing bytes after payload"); }
@@ -145,55 +253,80 @@ class Reader {
     return s;
   }
 
-  template <typename T>
-  T raw() {
-    const auto s = take(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
-    return v;
-  }
-
-  template <typename T>
-  void raw_span(std::span<T> out) {
-    if (out.empty()) return;  // empty vector => null data(); memcpy(null,...) is UB
-    const auto s = take(out.size_bytes());
-    if constexpr (kHostLittle) {
-      std::memcpy(out.data(), s.data(), s.size());
-    } else {
-      Reader sub(s);
-      for (T& x : out) x = std::bit_cast<T>(sub.raw<std::uint64_t>());
-    }
-  }
-
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
 
-// Validate the header and position a Reader at the payload.
-Reader open_frame(std::span<const std::uint8_t> frame, FrameType expected) {
-  const FrameType type = frame_type(frame);
-  if (type != expected)
-    throw WireError("wire decode: unexpected frame type " +
-                    std::to_string(static_cast<int>(type)) + " (expected " +
-                    std::to_string(static_cast<int>(expected)) + ")");
-  return Reader(frame.subspan(kHeaderBytes));
+// --- Size pass ----------------------------------------------------------------
+// Decodes the smallest payload of a default value: every count zero, every
+// scalar at its width. Containers a description sizes from a count (a
+// histogram's n + 1 buckets) are sized here too, so they are counted.
+class Sizer : public Archive<Sizer> {
+ public:
+  static constexpr bool kDecoding = true;
+
+  std::size_t bytes = 0;
+
+  template <class T>
+  void scalar(T&) {
+    bytes += sizeof(T);
+  }
+
+  template <class T>
+  void span(std::span<T> v) {
+    bytes += v.size_bytes();
+  }
+
+  template <class C>
+  void resize(C& c, std::size_t n, std::size_t, const char*) {
+    each(c, [n](auto& x) { x.resize(n); });
+  }
+
+  void require(bool, const char*) {}
+};
+
+template <class T>
+std::size_t min_size_of() {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else {
+    static const std::size_t bytes = [] {
+      T value{};
+      Sizer sizer;
+      sizer(value);
+      return sizer.bytes;
+    }();
+    return bytes;
+  }
 }
 
-void put_node(Writer& w, const TreeNode& nd) {
-  w.u64(nd.key_begin);
-  w.u64(nd.key_end);
-  w.u32(nd.part_begin);
-  w.u32(nd.part_end);
-  w.i32(nd.first_child);
-  w.u8(nd.num_children);
-  w.u8(nd.level);
-  w.u8(static_cast<std::uint8_t>(nd.kind));
-  w.aabb(nd.box);
-  w.f64(nd.mp.mass);
-  w.vec3(nd.mp.com);
-  for (double q : nd.mp.quad.q) w.f64(q);
-  w.f64(nd.rcrit);
+// Smallest wire footprint of one of each Ts: what a count of them must leave
+// in the payload at the least.
+template <class... Ts>
+std::size_t min_size() {
+  return (min_size_of<Ts>() + ...);
+}
+
+// Smallest footprint one element adds across parallel arrays.
+template <class... Cs>
+std::size_t row_bytes(const std::tuple<Cs&...>&) {
+  return min_size<typename Cs::value_type...>();
+}
+
+// --- Shared records ------------------------------------------------------------
+template <class Ar>
+void fields(Ar& ar, Vec3d& v) {
+  ar(v.x, v.y, v.z);
+}
+
+template <class Ar>
+void fields(Ar& ar, AABB& b) {
+  ar(b.lo, b.hi);
+}
+
+template <class Ar, class K, class V>
+void fields(Ar& ar, std::pair<K, V>& p) {
+  ar(p.first, p.second);
 }
 
 // Enforce the structural invariants both LET producers guarantee: children
@@ -222,109 +355,390 @@ void validate_node(TreeNode& nd, std::size_t index, std::size_t num_nodes,
   }
 }
 
-// Read one node and enforce the invariants above.
-TreeNode read_node(Reader& r, std::size_t index, std::size_t num_nodes,
-                   std::size_t num_particles) {
-  TreeNode nd;
-  nd.key_begin = r.u64();
-  nd.key_end = r.u64();
-  nd.part_begin = r.u32();
-  nd.part_end = r.u32();
-  nd.first_child = r.i32();
-  nd.num_children = r.u8();
-  nd.level = r.u8();
-  const std::uint8_t kind = r.u8();
-  nd.box = r.aabb();
-  nd.mp.mass = r.f64();
-  nd.mp.com = r.vec3();
-  for (double& q : nd.mp.quad.q) q = r.f64();
-  nd.rcrit = r.f64();
-
-  r.require(kind <= static_cast<std::uint8_t>(NodeKind::kMultipoleLeaf),
-            "unknown node kind");
-  nd.kind = static_cast<NodeKind>(kind);
-  validate_node(nd, index, num_nodes, num_particles);
-  return nd;
+template <class Ar>
+void fields(Ar& ar, TreeNode& nd) {
+  ar(nd.key_begin, nd.key_end, nd.part_begin, nd.part_end, nd.first_child,
+     nd.num_children, nd.level);
+  ar.bounded(nd.kind, NodeKind::kMultipoleLeaf, "unknown node kind");
+  ar(nd.box, nd.mp.mass, nd.mp.com, nd.mp.quad.q, nd.rcrit);
 }
 
-void put_particle_payload(Writer& w, int src, const ParticleSet& p, bool with_forces) {
-  w.i32(src);
-  w.u8(with_forces ? 1 : 0);
-  w.u64(p.size());
-  w.f64_span(p.x);
-  w.f64_span(p.y);
-  w.f64_span(p.z);
-  w.f64_span(p.vx);
-  w.f64_span(p.vy);
-  w.f64_span(p.vz);
-  w.f64_span(p.mass);
-  w.u64_span(p.id);
-  w.u64_span(p.key);
-  if (with_forces) {
-    w.f64_span(p.ax);
-    w.f64_span(p.ay);
-    w.f64_span(p.az);
-    w.f64_span(p.pot);
+// The particle payload several frames share: source rank, force flag, count,
+// then the arrays. Forces and potential ride along only when `with_forces`.
+// `P` is const ParticleSet when encoding from a caller's particles in place.
+template <class Ar, class P>
+void particle_payload(Ar& ar, int& src, bool& with_forces, P& p) {
+  auto state = std::tie(p.x, p.y, p.z, p.vx, p.vy, p.vz, p.mass, p.id, p.key);
+  auto forces = std::tie(p.ax, p.ay, p.az, p.pot);
+  auto n = static_cast<std::uint64_t>(p.size());
+  ar(src);
+  ar.bounded(with_forces, true, "unknown particle batch flags");
+  ar(n);
+  ar.resize(p, n, row_bytes(state) + (with_forces ? row_bytes(forces) : 0),
+            "particle count exceeds payload");
+  ar(state);
+  if (with_forces) ar(forces);
+}
+
+// A payload whose force flag the frame type fixes: the Writer sets it, the
+// Reader requires it.
+template <class Ar, class P>
+void particle_payload(Ar& ar, int& src, P& p, bool forces, const char* what) {
+  bool with_forces = forces;
+  particle_payload(ar, src, with_forces, p);
+  ar.require(with_forces == forces, what);
+}
+
+template <class Ar>
+void fields(Ar& ar, ParticleBatch& b) {
+  particle_payload(ar, b.src, b.with_forces, b.parts);
+}
+
+template <class Ar>
+void fields(Ar& ar, InteractionStats& s) {
+  ar(s.p2p, s.p2c, s.p2p_padded, s.p2c_padded, s.pp_batches, s.pc_batches, s.batch_hist);
+}
+
+template <class Ar>
+void fields(Ar& ar, WireStats& s) {
+  ar(s.frames, s.bytes, s.encode_seconds, s.decode_seconds);
+}
+
+template <class Ar>
+void fields(Ar& ar, LetDeltaStats& s) {
+  ar(s.full_frames, s.delta_frames, s.bytes_saved, s.cache_hits, s.invalidations);
+}
+
+template <class Ar>
+void fields(Ar& ar, LetSizeSample& s) {
+  ar(s.cells, s.particles, s.bytes);
+}
+
+template <class Ar>
+void fields(Ar& ar, PeerTraffic& t) {
+  ar(t.src, t.dst, t.type, t.frames, t.bytes);
+}
+
+template <class Ar>
+void fields(Ar& ar, TimeBreakdown::Entry& e) {
+  ar(e.name, e.seconds);
+}
+
+// Stage timings travel as (name, seconds) entries in insertion order.
+template <class Ar>
+void fields(Ar& ar, TimeBreakdown& t) {
+  std::vector<TimeBreakdown::Entry> entries;
+  if constexpr (!Ar::kDecoding) entries = t.entries();
+  ar.sequence(entries, "timing count exceeds payload");
+  if constexpr (Ar::kDecoding)
+    for (const auto& e : entries) t.add(e.name, e.seconds);
+}
+
+template <class Ar>
+void fields(Ar& ar, trace::Span& s) {
+  ar(s.name, s.begin_ns, s.end_ns, s.rank, s.lane, s.step, s.peer, s.bytes);
+  ar.require(s.end_ns >= s.begin_ns, "span ends before it begins");
+}
+
+template <class Ar>
+void fields(Ar& ar, metrics::HistogramData& h) {
+  auto n = static_cast<std::uint32_t>(h.bounds.size());
+  ar(n);
+  ar.resize(h.bounds, n, row_bytes(std::tie(h.bounds, h.counts)),
+            "histogram bound count exceeds payload");
+  ar(h.bounds);
+  ar.resize(h.counts, std::size_t{n} + 1, min_size<std::uint64_t>(),
+            "histogram bucket count exceeds payload");
+  ar(h.counts, h.count, h.sum);
+}
+
+template <class Ar>
+void fields(Ar& ar, metrics::Snapshot& m) {
+  ar.sequence(m.counters, "metric counter count exceeds payload");
+  ar.sequence(m.gauges, "metric gauge count exceeds payload");
+  ar.sequence(m.histograms, "metric histogram count exceeds payload");
+}
+
+template <class Ar>
+void fields(Ar& ar, PeerEndpoint& p) {
+  ar(p.port, p.host);
+}
+
+// --- Messages -----------------------------------------------------------------
+// Message types of the frames whose public codec takes or returns bare values.
+struct Empty {};
+struct PeerDirectory {
+  std::vector<PeerEndpoint> peers;
+};
+struct PeerHello {
+  int rank = -1;
+};
+struct JobCancel {
+  std::int32_t job_id = -1;
+};
+
+template <class Ar>
+void fields(Ar&, Empty&) {}
+
+template <class Ar>
+void fields(Ar& ar, LetMessage& m) {
+  LetTree& let = m.let;
+  auto xyzm = std::tie(let.x, let.y, let.z, let.m);
+  auto nodes = static_cast<std::uint32_t>(let.nodes.size());
+  auto parts = static_cast<std::uint32_t>(let.num_particles());
+  ar(m.src, m.export_seconds, nodes, parts);
+  ar.resize(let.nodes, nodes, min_size<TreeNode>(), "node count exceeds payload");
+  for (std::size_t i = 0; i < let.nodes.size(); ++i) {
+    ar(let.nodes[i]);
+    if constexpr (Ar::kDecoding) validate_node(let.nodes[i], i, nodes, parts);
+  }
+  ar.resize(xyzm, parts, row_bytes(xyzm), "particle count exceeds payload");
+  ar(xyzm);
+}
+
+template <class Ar>
+void fields(Ar& ar, Hello& h) {
+  ar(h.rank, h.listen_port);
+}
+
+template <class Ar>
+void fields(Ar& ar, SimConfig& c) {
+  ar(c.nranks);
+  ar.require(c.nranks >= 1 && c.nranks <= 255, "config rank count out of range");
+  ar(c.theta, c.eps, c.nleaf, c.ncrit);
+  ar.bounded(c.quadrupole, true, "unknown config quadrupole flag");
+  ar(c.dt);
+  ar.bounded(c.curve, sfc::CurveType::kMorton, "unknown config curve");
+  ar(c.samples_per_rank, c.snap_level);
+  ar.bounded(c.balance, BalanceMode::kCost, "unknown config balance mode");
+  ar.bounded(c.trace, true, "unknown config trace flag");
+  ar.bounded(c.kernel, KernelBackend::kSimd, "config kernel backend out of range");
+  ar.bounded(c.let_cache, true, "unknown config let-cache flag");
+  ar(c.let_churn);
+}
+
+template <class Ar>
+void fields(Ar& ar, StepBegin& sb) {
+  auto ranks = std::tie(sb.active, sb.boxes);
+  auto n = static_cast<std::uint32_t>(sb.active.size());
+  ar(sb.step);
+  ar.bounded(sb.mode, StepMode::kCollect, "unknown step mode");
+  ar(sb.bounds, n);
+  ar.resize(ranks, n, row_bytes(ranks), "rank count exceeds payload");
+  ar(ranks);
+  int src = -1;
+  particle_payload(ar, src, sb.parts, false, "step-begin batch must not carry forces");
+}
+
+template <class Ar>
+void fields(Ar& ar, StepResult& sr) {
+  ar(sr.rank, sr.let_cells, sr.let_particles, sr.local_stats, sr.remote_stats, sr.migrated,
+     sr.local_count, sr.kinetic, sr.potential, sr.times);
+  ar.sequence(sr.let_sizes, "LET size count exceeds payload");
+  ar(sr.let_wire, sr.part_wire, sr.dom_wire, sr.let_delta);
+  ar.sequence(sr.boundaries, "boundary count exceeds payload");
+  ar.sequence(sr.traffic, "traffic count exceeds payload");
+  int src = sr.rank;
+  particle_payload(ar, src, sr.parts, true, "step-result batch must carry forces");
+}
+
+template <class Ar>
+void fields(Ar& ar, Boundaries& b) {
+  ar(b.src, b.step);
+  ar.bounded(b.post_migration, true, "unknown boundaries phase");
+  ar(b.count, b.box, b.weight);
+}
+
+template <class Ar>
+void fields(Ar& ar, KeySamples& ks) {
+  auto n = static_cast<std::uint64_t>(ks.keys.size());
+  ar(ks.src, ks.step, n);
+  ar.resize(ks.keys, n, min_size<sfc::Key>(), "sample count exceeds payload");
+  ar(ks.keys);
+}
+
+// Spelled over references so encode_migration describes the caller's
+// particles in place.
+template <class Ar, class P>
+void migration(Ar& ar, int& src, int& step, P& parts) {
+  ar(step);
+  particle_payload(ar, src, parts, false, "migration batches must travel force-free");
+}
+
+template <class Ar>
+void fields(Ar& ar, MigrationMsg& m) {
+  migration(ar, m.src, m.step, m.parts);
+}
+
+template <class Ar>
+void fields(Ar& ar, PeerDirectory& d) {
+  auto n = static_cast<std::uint32_t>(d.peers.size());
+  ar(n);
+  ar.require(n >= 1 && n <= 255, "directory rank count out of range");
+  ar.resize(d.peers, n, min_size<PeerEndpoint>(), "directory entry count exceeds payload");
+  ar(d.peers);
+}
+
+template <class Ar>
+void fields(Ar& ar, PeerHello& h) {
+  ar(h.rank);
+}
+
+template <class Ar>
+void fields(Ar& ar, TraceFrame& tf) {
+  ar(tf.src, tf.step, tf.recv_ns, tf.send_ns, tf.clock_domain);
+  ar.sequence(tf.spans, "span count exceeds payload");
+  ar(tf.metrics);
+}
+
+template <class Ar>
+void fields(Ar& ar, JobSpec& spec) {
+  ar(spec.name, spec.n, spec.seed, spec.steps);
+  ar.require(spec.steps >= 0, "job step count negative");
+  ar(spec.ranks);
+  ar.require(spec.ranks >= 0 && spec.ranks <= 255, "job rank request out of range");
+  ar(spec.priority, spec.theta, spec.eps, spec.dt);
+  ar.bounded(spec.kernel, KernelBackend::kSimd, "job kernel backend out of range");
+  int src = -1;
+  particle_payload(ar, src, spec.parts, false, "job initial condition must travel force-free");
+}
+
+template <class Ar>
+void fields(Ar& ar, JobStatusMsg& st) {
+  ar(st.job_id);
+  ar.bounded(st.state, JobState::kRejected, "unknown job state");
+  ar.bounded(st.wait, true, "unknown job status flags");
+  ar(st.steps_done, st.steps_total, st.ranks, st.priority, st.n, st.reason);
+}
+
+template <class Ar>
+void fields(Ar& ar, JobResultMsg& res) {
+  ar(res.job_id);
+  ar.bounded(res.state, JobState::kRejected, "unknown job state");
+  ar(res.steps_done, res.kinetic, res.potential, res.reason);
+  int src = -1;
+  particle_payload(ar, src, res.parts, true, "job result batch must carry forces");
+}
+
+template <class Ar>
+void fields(Ar& ar, JobCancel& c) {
+  ar(c.job_id);
+}
+
+template <class Ar>
+void fields(Ar& ar, SnapshotMsg& snap) {
+  auto n = static_cast<std::uint32_t>(snap.sets.size());
+  ar(snap.job_id, snap.next_step, n);
+  ar.require(n <= 255, "snapshot rank count out of range");
+  ar.resize(snap.sets, n, min_size<ParticleBatch>(), "snapshot set count exceeds payload");
+  for (std::size_t r = 0; r < snap.sets.size(); ++r) {
+    int src = static_cast<int>(r);
+    particle_payload(ar, src, snap.sets[r], true, "snapshot sets must carry forces");
   }
 }
 
-ParticleBatch read_particle_payload(Reader& r) {
-  ParticleBatch batch;
-  batch.src = r.i32();
-  const std::uint8_t flags = r.u8();
-  r.require(flags <= 1, "unknown particle batch flags");
-  batch.with_forces = flags != 0;
-  const std::size_t n =
-      r.array_count(r.u64(), batch.with_forces ? kParticleForceBytes : kParticleBytes,
-                    "particle count exceeds payload");
-  ParticleSet& p = batch.parts;
-  p.resize(n);
-  r.f64_span(p.x);
-  r.f64_span(p.y);
-  r.f64_span(p.z);
-  r.f64_span(p.vx);
-  r.f64_span(p.vy);
-  r.f64_span(p.vz);
-  r.f64_span(p.mass);
-  r.u64_span(p.id);
-  r.u64_span(p.key);
-  if (batch.with_forces) {
-    r.f64_span(p.ax);
-    r.f64_span(p.ay);
-    r.f64_span(p.az);
-    r.f64_span(p.pot);
-  }
-  return batch;
+// --- Frame table ----------------------------------------------------------------
+// Type, name and message of every frame, in wire-value order. The public
+// codecs, frame_type_name() and frame_table() (the fuzz seed list and
+// dispatcher) all read it, and the static_assert holds it to FrameType.
+template <FrameType T, class Msg>
+struct Row {
+  static constexpr FrameType kType = T;
+  using Message = Msg;  // void: not run through fields() (LetDelta)
+  const char* name;
+};
+
+constexpr std::tuple kFrames{
+    Row<FrameType::kLet, LetMessage>{"Let"},
+    Row<FrameType::kParticles, ParticleBatch>{"Particles"},
+    Row<FrameType::kHello, Hello>{"Hello"},
+    Row<FrameType::kConfig, SimConfig>{"Config"},
+    Row<FrameType::kStepBegin, StepBegin>{"StepBegin"},
+    Row<FrameType::kStepResult, StepResult>{"StepResult"},
+    Row<FrameType::kShutdown, Empty>{"Shutdown"},
+    Row<FrameType::kBoundaries, Boundaries>{"Boundaries"},
+    Row<FrameType::kKeySamples, KeySamples>{"KeySamples"},
+    Row<FrameType::kMigration, MigrationMsg>{"Migration"},
+    Row<FrameType::kPeerDirectory, PeerDirectory>{"PeerDirectory"},
+    Row<FrameType::kPeerHello, PeerHello>{"PeerHello"},
+    Row<FrameType::kTrace, TraceFrame>{"Trace"},
+    Row<FrameType::kJobSubmit, JobSpec>{"JobSubmit"},
+    Row<FrameType::kJobStatus, JobStatusMsg>{"JobStatus"},
+    Row<FrameType::kJobResult, JobResultMsg>{"JobResult"},
+    Row<FrameType::kJobCancel, JobCancel>{"JobCancel"},
+    Row<FrameType::kSnapshot, SnapshotMsg>{"Snapshot"},
+    Row<FrameType::kMetricsQuery, Empty>{"MetricsQuery"},
+    Row<FrameType::kMetricsReport, metrics::Snapshot>{"MetricsReport"},
+    Row<FrameType::kLetDelta, void>{"LetDelta"},
+};
+
+static_assert(std::tuple_size_v<decltype(kFrames)> ==
+                      static_cast<std::size_t>(FrameType::kEnd) - 1 &&
+                  std::apply(
+                      [](auto... row) {
+                        std::size_t wire_value = 1;
+                        return ((static_cast<std::size_t>(decltype(row)::kType) ==
+                                 wire_value++) && ...);
+                      },
+                      kFrames),
+              "every FrameType needs exactly one frame table row, in wire-value order");
+
+template <FrameType T>
+using MessageOf = typename std::tuple_element_t<static_cast<std::size_t>(T) - 1,
+                                                std::remove_const_t<decltype(kFrames)>>::Message;
+
+// Validate the header and position a Reader at the payload.
+Reader open_frame(std::span<const std::uint8_t> frame, FrameType expected) {
+  const FrameType type = frame_type(frame);
+  if (type != expected)
+    throw WireError("wire decode: unexpected frame type " +
+                    std::to_string(static_cast<int>(type)) + " (expected " +
+                    std::to_string(static_cast<int>(expected)) + ")");
+  return Reader(frame.subspan(kHeaderBytes));
 }
+
+template <FrameType T>
+std::vector<std::uint8_t> encode(const MessageOf<T>& msg,
+                                 std::vector<std::uint8_t> reuse = {}) {
+  Writer w(T, std::move(reuse));
+  w(msg);
+  return w.finish();
+}
+
+template <FrameType T>
+MessageOf<T> decode(std::span<const std::uint8_t> frame) {
+  Reader r = open_frame(frame, T);
+  MessageOf<T> msg{};
+  r(msg);
+  r.done();
+  return msg;
+}
+
+template <class R>
+constexpr FrameInfo::Reencode reencoder() {
+  if constexpr (std::is_void_v<typename R::Message>) {
+    return nullptr;
+  } else {
+    return [](std::span<const std::uint8_t> frame) {
+      return encode<R::kType>(decode<R::kType>(frame));
+    };
+  }
+}
+
+constexpr auto kFrameInfo = std::apply(
+    [](auto... row) {
+      return std::array{FrameInfo{decltype(row)::kType, row.name, reencoder<decltype(row)>()}...};
+    },
+    kFrames);
 
 }  // namespace
 
 const char* frame_type_name(FrameType type) {
-  switch (type) {
-    case FrameType::kLet: return "Let";
-    case FrameType::kParticles: return "Particles";
-    case FrameType::kHello: return "Hello";
-    case FrameType::kConfig: return "Config";
-    case FrameType::kStepBegin: return "StepBegin";
-    case FrameType::kStepResult: return "StepResult";
-    case FrameType::kShutdown: return "Shutdown";
-    case FrameType::kBoundaries: return "Boundaries";
-    case FrameType::kKeySamples: return "KeySamples";
-    case FrameType::kMigration: return "Migration";
-    case FrameType::kPeerDirectory: return "PeerDirectory";
-    case FrameType::kPeerHello: return "PeerHello";
-    case FrameType::kTrace: return "Trace";
-    case FrameType::kJobSubmit: return "JobSubmit";
-    case FrameType::kJobStatus: return "JobStatus";
-    case FrameType::kJobResult: return "JobResult";
-    case FrameType::kJobCancel: return "JobCancel";
-    case FrameType::kSnapshot: return "Snapshot";
-    case FrameType::kMetricsQuery: return "MetricsQuery";
-    case FrameType::kMetricsReport: return "MetricsReport";
-    case FrameType::kLetDelta: return "LetDelta";
-  }
-  return "Unknown";
+  const std::size_t i = static_cast<std::size_t>(type) - 1;
+  return i < kFrameInfo.size() ? kFrameInfo[i].name : "Unknown";
 }
+
+std::span<const FrameInfo> frame_table() { return kFrameInfo; }
 
 void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> add) {
   const auto key = [](const PeerTraffic& t) { return std::tie(t.src, t.dst, t.type); };
@@ -345,85 +759,137 @@ void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> 
 FrameType frame_type(std::span<const std::uint8_t> frame) {
   if (frame.size() < kHeaderBytes) throw WireError("wire decode: frame shorter than header");
   Reader r(frame);
-  if (r.u32() != kMagic) throw WireError("wire decode: bad magic");
-  const std::uint16_t version = r.u16();
+  if (r.get<std::uint32_t>() != kMagic) throw WireError("wire decode: bad magic");
+  const auto version = r.get<std::uint16_t>();
   if (version != kVersion)
     throw WireError("wire decode: version mismatch (got " + std::to_string(version) +
                     ", expected " + std::to_string(kVersion) + ")");
-  const auto type = static_cast<FrameType>(r.u16());
-  if (r.u64() != frame.size() - kHeaderBytes)
+  const auto type = static_cast<FrameType>(r.get<std::uint16_t>());
+  if (r.get<std::uint64_t>() != frame.size() - kHeaderBytes)
     throw WireError("wire decode: payload length mismatch");
   return type;
 }
 
-namespace {
+// --- Public codecs: one line each over the frame table ---------------------------
+using Bytes = std::vector<std::uint8_t>;
+using Frame = std::span<const std::uint8_t>;
 
-void put_let(Writer& w, const LetMessage& msg) {
-  w.i32(msg.src);
-  w.f64(msg.export_seconds);
-  w.u32(static_cast<std::uint32_t>(msg.let.nodes.size()));
-  w.u32(static_cast<std::uint32_t>(msg.let.num_particles()));
-  for (const TreeNode& nd : msg.let.nodes) put_node(w, nd);
-  w.f64_span(msg.let.x);
-  w.f64_span(msg.let.y);
-  w.f64_span(msg.let.z);
-  w.f64_span(msg.let.m);
-}
+Bytes encode_let(const LetMessage& msg) { return encode<FrameType::kLet>(msg); }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_let(const LetMessage& msg) {
-  Writer w(FrameType::kLet);
-  put_let(w, msg);
-  return w.finish();
-}
-
-std::vector<std::uint8_t> encode_let_scratch(const LetMessage& msg,
-                                             std::vector<std::uint8_t>& scratch) {
-  Writer w(FrameType::kLet, std::move(scratch));
-  put_let(w, msg);
-  scratch = w.finish();
+Bytes encode_let_scratch(const LetMessage& msg, Bytes& scratch) {
+  scratch = encode<FrameType::kLet>(msg, std::move(scratch));
   return {scratch.begin(), scratch.end()};
 }
 
-LetMessage decode_let(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kLet);
-  LetMessage msg;
+LetMessage decode_let(Frame frame) {
+  LetMessage msg = decode<FrameType::kLet>(frame);
   msg.wire_bytes = frame.size();
-  msg.src = r.i32();
-  msg.export_seconds = r.f64();
-  const std::size_t num_nodes = r.u32();
-  const std::size_t num_parts = r.u32();
-  r.require(num_nodes <= r.remaining() / kNodeBytes,
-            "node count exceeds payload");
-  r.require(num_parts <= (r.remaining() - num_nodes * kNodeBytes) / (4 * 8),
-            "particle count exceeds payload");
-  msg.let.nodes.reserve(num_nodes);
-  for (std::size_t i = 0; i < num_nodes; ++i)
-    msg.let.nodes.push_back(read_node(r, i, num_nodes, num_parts));
-  msg.let.x.resize(num_parts);
-  msg.let.y.resize(num_parts);
-  msg.let.z.resize(num_parts);
-  msg.let.m.resize(num_parts);
-  r.f64_span(msg.let.x);
-  r.f64_span(msg.let.y);
-  r.f64_span(msg.let.z);
-  r.f64_span(msg.let.m);
-  r.done();
   return msg;
+}
+
+Bytes encode_particles(int src, const ParticleSet& parts, bool with_forces) {
+  Writer w(FrameType::kParticles);
+  particle_payload(w, src, with_forces, parts);
+  return w.finish();
+}
+
+ParticleBatch decode_particles(Frame frame) { return decode<FrameType::kParticles>(frame); }
+
+Bytes encode_hello(int rank, std::uint16_t listen_port) {
+  return encode<FrameType::kHello>({rank, listen_port});
+}
+Hello decode_hello(Frame frame) { return decode<FrameType::kHello>(frame); }
+
+Bytes encode_peer_directory(std::span<const PeerEndpoint> peers) {
+  return encode<FrameType::kPeerDirectory>({{peers.begin(), peers.end()}});
+}
+std::vector<PeerEndpoint> decode_peer_directory(Frame frame) {
+  return decode<FrameType::kPeerDirectory>(frame).peers;
+}
+
+Bytes encode_peer_hello(int rank) { return encode<FrameType::kPeerHello>({rank}); }
+int decode_peer_hello(Frame frame) { return decode<FrameType::kPeerHello>(frame).rank; }
+
+Bytes encode_config(const SimConfig& cfg) { return encode<FrameType::kConfig>(cfg); }
+SimConfig decode_config(Frame frame) { return decode<FrameType::kConfig>(frame); }
+
+Bytes encode_step_begin(const StepBegin& sb) { return encode<FrameType::kStepBegin>(sb); }
+StepBegin decode_step_begin(Frame frame) { return decode<FrameType::kStepBegin>(frame); }
+
+Bytes encode_boundaries(const Boundaries& b) { return encode<FrameType::kBoundaries>(b); }
+Boundaries decode_boundaries(Frame frame) { return decode<FrameType::kBoundaries>(frame); }
+
+Bytes encode_key_samples(const KeySamples& ks) { return encode<FrameType::kKeySamples>(ks); }
+KeySamples decode_key_samples(Frame frame) { return decode<FrameType::kKeySamples>(frame); }
+
+Bytes encode_migration(int src, int step, const ParticleSet& parts) {
+  Writer w(FrameType::kMigration);
+  migration(w, src, step, parts);
+  return w.finish();
+}
+MigrationMsg decode_migration(Frame frame) { return decode<FrameType::kMigration>(frame); }
+
+Bytes encode_step_result(const StepResult& sr) { return encode<FrameType::kStepResult>(sr); }
+StepResult decode_step_result(Frame frame) { return decode<FrameType::kStepResult>(frame); }
+
+Bytes encode_trace(const TraceFrame& tf) { return encode<FrameType::kTrace>(tf); }
+TraceFrame decode_trace(Frame frame) { return decode<FrameType::kTrace>(frame); }
+
+Bytes encode_shutdown() { return encode<FrameType::kShutdown>({}); }
+void decode_shutdown(Frame frame) { decode<FrameType::kShutdown>(frame); }
+
+const char* job_state_name(JobState state) {
+  switch (state) {
+    case JobState::kQueued: return "queued";
+    case JobState::kRunning: return "running";
+    case JobState::kSuspended: return "suspended";
+    case JobState::kCompleted: return "completed";
+    case JobState::kCancelled: return "cancelled";
+    case JobState::kFailed: return "failed";
+    case JobState::kRejected: return "rejected";
+  }
+  return "unknown";
+}
+
+Bytes encode_job_submit(const JobSpec& spec) { return encode<FrameType::kJobSubmit>(spec); }
+JobSpec decode_job_submit(Frame frame) { return decode<FrameType::kJobSubmit>(frame); }
+
+Bytes encode_job_status(const JobStatusMsg& st) { return encode<FrameType::kJobStatus>(st); }
+JobStatusMsg decode_job_status(Frame frame) { return decode<FrameType::kJobStatus>(frame); }
+
+Bytes encode_job_result(const JobResultMsg& res) { return encode<FrameType::kJobResult>(res); }
+JobResultMsg decode_job_result(Frame frame) { return decode<FrameType::kJobResult>(frame); }
+
+Bytes encode_job_cancel(std::int32_t job_id) { return encode<FrameType::kJobCancel>({job_id}); }
+std::int32_t decode_job_cancel(Frame frame) {
+  return decode<FrameType::kJobCancel>(frame).job_id;
+}
+
+Bytes encode_snapshot(const SnapshotMsg& snap) { return encode<FrameType::kSnapshot>(snap); }
+SnapshotMsg decode_snapshot(Frame frame) { return decode<FrameType::kSnapshot>(frame); }
+
+Bytes encode_metrics_query() { return encode<FrameType::kMetricsQuery>({}); }
+void decode_metrics_query(Frame frame) { decode<FrameType::kMetricsQuery>(frame); }
+
+Bytes encode_metrics_report(const metrics::Snapshot& snapshot) {
+  return encode<FrameType::kMetricsReport>(snapshot);
+}
+metrics::Snapshot decode_metrics_report(Frame frame) {
+  return decode<FrameType::kMetricsReport>(frame);
 }
 
 // --- Incremental LET codec (wire v7) -----------------------------------------
 // A LetDelta frame patches the LET a peer already holds into the fresh one.
 // Node topology ships as per-node records — matched nodes name their cached
 // counterpart (by index delta) and carry only the structural fields that
-// changed; unmatched nodes ship the full 167-byte record. The floating-point
+// changed; unmatched nodes ship the full TreeNode record. The floating-point
 // payload (17 values per matched node, 4 per particle) ships as the XOR of
 // each value against a prediction extrapolated from up to three cached
 // generations; because exporter and importer extrapolate from mirrored,
 // bit-identical inputs, the residual is lossless and near-zero for smoothly
 // drifting values, so only its significant low bytes travel (a 4-bit length
-// per value, two per byte, then the byte stream).
+// per value, two per byte, then the byte stream). This codec is stateful, so
+// it is written by hand against the same Writer/Reader and TreeNode record.
 namespace {
 
 constexpr std::size_t kNodeValues = 17;  // box(6) mass com(3) quad(6) rcrit
@@ -466,10 +932,10 @@ void set_node_values(TreeNode& nd, const double* v) {
 
 void put_varint(Writer& w, std::uint64_t v) {
   while (v >= 0x80) {
-    w.u8(static_cast<std::uint8_t>(0x80 | (v & 0x7F)));
+    w.put(static_cast<std::uint8_t>(0x80 | (v & 0x7F)));
     v >>= 7;
   }
-  w.u8(static_cast<std::uint8_t>(v));
+  w.put(static_cast<std::uint8_t>(v));
 }
 
 std::uint64_t read_varint(Reader& r) {
@@ -477,7 +943,7 @@ std::uint64_t read_varint(Reader& r) {
   int shift = 0;
   while (true) {
     r.require(shift < 64, "varint too long");
-    const std::uint8_t b = r.u8();
+    const auto b = r.get<std::uint8_t>();
     v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
     if (!(b & 0x80)) return v;
     shift += 7;
@@ -512,9 +978,9 @@ struct ValueBlob {
   void write(Writer& w) const {
     for (std::size_t i = 0; i < lens.size(); i += 2) {
       const std::uint8_t hi = (i + 1 < lens.size()) ? lens[i + 1] : 0;
-      w.u8(static_cast<std::uint8_t>(lens[i] | (hi << 4)));
+      w.put(static_cast<std::uint8_t>(lens[i] | (hi << 4)));
     }
-    w.bytes(data);
+    w(data);
   }
 };
 
@@ -524,7 +990,7 @@ class ValueBlobReader {
  public:
   ValueBlobReader(Reader& r, std::size_t count) : r_(r), lens_(count) {
     for (std::size_t i = 0; i < count; i += 2) {
-      const std::uint8_t b = r.u8();
+      const auto b = r.get<std::uint8_t>();
       lens_[i] = b & 0x0F;
       if (i + 1 < count)
         lens_[i + 1] = b >> 4;
@@ -539,7 +1005,7 @@ class ValueBlobReader {
     const std::uint8_t n = lens_[next_++];
     std::uint64_t d = 0;
     for (std::uint8_t i = 0; i < n; ++i)
-      d |= static_cast<std::uint64_t>(r_.u8()) << (8 * i);
+      d |= static_cast<std::uint64_t>(r_.get<std::uint8_t>()) << (8 * i);
     return std::bit_cast<double>(d ^ std::bit_cast<std::uint64_t>(pred));
   }
 
@@ -636,8 +1102,8 @@ void advance_let_cache(LetCacheEntry& cache, LetTree next,
 
 // Exact wire footprint of the full Let frame for the same tree.
 std::uint64_t full_let_bytes(const LetTree& let) {
-  return kHeaderBytes + 4 + 8 + 4 + 4 + let.num_cells() * kNodeBytes +
-         let.num_particles() * kPartValues * 8;
+  return kHeaderBytes + min_size<LetMessage>() + let.num_cells() * min_size<TreeNode>() +
+         let.num_particles() * kPartValues * min_size<double>();
 }
 
 }  // namespace
@@ -678,30 +1144,28 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
     const std::vector<std::int64_t> pmatch = match_particles(cache.tree, let, nmatch);
 
     Writer w(FrameType::kLetDelta, std::move(buf));
-    w.i32(msg.src);
-    w.f64(msg.export_seconds);
-    w.u64(cache.version);
-    w.u32(static_cast<std::uint32_t>(let.num_cells()));
-    w.u32(static_cast<std::uint32_t>(let.num_particles()));
+    w(msg.src, msg.export_seconds, cache.version);
+    w.put(static_cast<std::uint32_t>(let.num_cells()));
+    w.put(static_cast<std::uint32_t>(let.num_particles()));
 
     ValueBlob node_blob;
     for (std::size_t i = 0; i < let.nodes.size(); ++i) {
       const TreeNode& nd = let.nodes[i];
       if (nmatch[i] < 0) {
-        w.u8(0);
-        put_node(w, nd);
+        w.put(std::uint8_t{0});
+        w(nd);
         continue;
       }
       const std::size_t j = static_cast<std::size_t>(nmatch[i]);
       const TreeNode& od = cache.tree.nodes[j];
-      w.u8(1);
+      w.put(std::uint8_t{1});
       put_varint(w, zigzag(static_cast<std::int64_t>(j) - static_cast<std::int64_t>(i)));
       std::uint8_t sflags = 0;
       if (nd.part_begin != od.part_begin || nd.part_end != od.part_end) sflags |= 1;
       if (nd.first_child != od.first_child || nd.num_children != od.num_children ||
           nd.kind != od.kind)
         sflags |= 2;
-      w.u8(sflags);
+      w.put(sflags);
       if (sflags & 1) {
         put_varint(w, zigzag(static_cast<std::int64_t>(nd.part_begin) -
                              static_cast<std::int64_t>(od.part_begin)));
@@ -709,9 +1173,8 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
                              static_cast<std::int64_t>(od.part_end)));
       }
       if (sflags & 2) {
-        w.i32(nd.first_child);
-        w.u8(nd.num_children);
-        w.u8(static_cast<std::uint8_t>(nd.kind));
+        w(nd.first_child, nd.num_children);
+        w.put(static_cast<std::uint8_t>(nd.kind));
       }
       double vals[kNodeValues], base[kNodeValues];
       node_values(nd, vals);
@@ -739,11 +1202,11 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
         k = e;
       }
     }
-    w.u32(static_cast<std::uint32_t>(runs.size()));
+    w.put(static_cast<std::uint32_t>(runs.size()));
     std::size_t covered = 0;
     for (const auto& run : runs) {
       put_varint(w, static_cast<std::uint64_t>(run[0]));
-      w.u8(static_cast<std::uint8_t>(run[1]));
+      w.put(static_cast<std::uint8_t>(run[1]));
       if (run[1] == 1)
         put_varint(w, zigzag(run[2] - static_cast<std::int64_t>(covered)));
       covered += static_cast<std::size_t>(run[0]);
@@ -782,9 +1245,7 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
     // through to a full frame, which also resets the peer's cache.
   }
 
-  Writer w(FrameType::kLet, std::move(buf));
-  put_let(w, msg);
-  buf = w.finish();
+  buf = encode<FrameType::kLet>(msg, std::move(buf));
   res.frame.assign(buf.begin(), buf.end());
   res.is_delta = false;
   advance_let_cache(cache, let, {}, {});
@@ -798,7 +1259,7 @@ int peek_let_src(std::span<const std::uint8_t> frame) {
   if (type != FrameType::kLet && type != FrameType::kLetDelta)
     throw WireError("wire decode: not a LET-class frame");
   Reader r(frame.subspan(kHeaderBytes));
-  return r.i32();
+  return r.get<std::int32_t>();
 }
 
 LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry& cache) {
@@ -813,9 +1274,8 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
   Reader r = open_frame(frame, FrameType::kLetDelta);
   LetMessage msg;
   msg.wire_bytes = frame.size();
-  msg.src = r.i32();
-  msg.export_seconds = r.f64();
-  const std::uint64_t base = r.u64();
+  std::uint64_t base = 0;
+  r(msg.src, msg.export_seconds, base);
   if (cache.version == 0)
     throw WireError("wire decode: LET delta without a cached base tree");
   if (base != cache.version)
@@ -823,8 +1283,8 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
                     std::to_string(base) + ", expected " +
                     std::to_string(cache.version) + ")");
 
-  const std::size_t num_nodes = r.u32();
-  const std::size_t num_parts = r.u32();
+  const std::size_t num_nodes = r.get<std::uint32_t>();
+  const std::size_t num_parts = r.get<std::uint32_t>();
   // Every node record costs at least one byte and every particle at least
   // two nibble bytes of value stream, so corrupted counts cannot trigger a
   // huge allocation.
@@ -838,10 +1298,13 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
   std::vector<std::int32_t> nmatch(num_nodes, -1);
   std::size_t num_matched = 0;
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const std::uint8_t flags = r.u8();
+    const auto flags = r.get<std::uint8_t>();
     r.require(flags <= 1, "unknown LET delta node flags");
     if (!(flags & 1)) {
-      nodes.push_back(read_node(r, i, num_nodes, num_parts));
+      TreeNode nd;
+      r(nd);
+      validate_node(nd, i, num_nodes, num_parts);
+      nodes.push_back(nd);
       continue;
     }
     const std::int64_t j = static_cast<std::int64_t>(i) + unzigzag(read_varint(r));
@@ -850,7 +1313,7 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
     nmatch[i] = static_cast<std::int32_t>(j);
     ++num_matched;
     TreeNode nd = cache.tree.nodes[static_cast<std::size_t>(j)];
-    const std::uint8_t sflags = r.u8();
+    const auto sflags = r.get<std::uint8_t>();
     r.require(sflags <= 3, "unknown LET delta node change flags");
     if (sflags & 1) {
       const std::int64_t pb =
@@ -864,24 +1327,20 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
       nd.part_end = static_cast<std::uint32_t>(pe);
     }
     if (sflags & 2) {
-      nd.first_child = r.i32();
-      nd.num_children = r.u8();
-      const std::uint8_t kind = r.u8();
-      r.require(kind <= static_cast<std::uint8_t>(NodeKind::kMultipoleLeaf),
-                "unknown node kind");
-      nd.kind = static_cast<NodeKind>(kind);
+      r(nd.first_child, nd.num_children);
+      r.bounded(nd.kind, NodeKind::kMultipoleLeaf, "unknown node kind");
     }
     nodes.push_back(nd);
   }
 
-  const std::size_t num_runs = r.u32();
+  const std::size_t num_runs = r.get<std::uint32_t>();
   std::vector<std::int64_t> pmatch(num_parts, -1);
   std::size_t covered = 0;
   for (std::size_t run = 0; run < num_runs; ++run) {
     const std::uint64_t len = read_varint(r);
     r.require(len >= 1 && len <= num_parts - covered,
               "LET delta runs exceed particle count");
-    const std::uint8_t kind = r.u8();
+    const auto kind = r.get<std::uint8_t>();
     r.require(kind <= 1, "unknown LET delta run kind");
     if (kind == 1) {
       const std::int64_t old_start =
@@ -943,682 +1402,6 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
   ++cache.version;
   if constexpr (kDcheckEnabled) cache.check_consistency();
   return msg;
-}
-
-std::vector<std::uint8_t> encode_particles(int src, const ParticleSet& parts,
-                                           bool with_forces) {
-  Writer w(FrameType::kParticles);
-  put_particle_payload(w, src, parts, with_forces);
-  return w.finish();
-}
-
-ParticleBatch decode_particles(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kParticles);
-  ParticleBatch batch = read_particle_payload(r);
-  r.done();
-  return batch;
-}
-
-std::vector<std::uint8_t> encode_hello(int rank, std::uint16_t listen_port) {
-  Writer w(FrameType::kHello);
-  w.i32(rank);
-  w.u16(listen_port);
-  return w.finish();
-}
-
-Hello decode_hello(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kHello);
-  Hello h;
-  h.rank = r.i32();
-  h.listen_port = r.u16();
-  r.done();
-  return h;
-}
-
-std::vector<std::uint8_t> encode_peer_directory(std::span<const PeerEndpoint> peers) {
-  Writer w(FrameType::kPeerDirectory);
-  w.u32(static_cast<std::uint32_t>(peers.size()));
-  for (const PeerEndpoint& p : peers) {
-    w.u16(p.port);
-    w.u32(static_cast<std::uint32_t>(p.host.size()));
-    for (const char c : p.host) w.u8(static_cast<std::uint8_t>(c));
-  }
-  return w.finish();
-}
-
-std::vector<PeerEndpoint> decode_peer_directory(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kPeerDirectory);
-  const std::size_t n =
-      r.array_count(r.u32(), 2 + 4, "directory entry count exceeds payload");
-  r.require(n >= 1 && n <= 255, "directory rank count out of range");
-  std::vector<PeerEndpoint> peers(n);
-  for (PeerEndpoint& p : peers) {
-    p.port = r.u16();
-    const std::size_t len = r.array_count(r.u32(), 1, "directory host exceeds payload");
-    p.host.resize(len);
-    for (char& c : p.host) c = static_cast<char>(r.u8());
-  }
-  r.done();
-  return peers;
-}
-
-std::vector<std::uint8_t> encode_peer_hello(int rank) {
-  Writer w(FrameType::kPeerHello);
-  w.i32(rank);
-  return w.finish();
-}
-
-int decode_peer_hello(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kPeerHello);
-  const int rank = r.i32();
-  r.done();
-  return rank;
-}
-
-std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
-  Writer w(FrameType::kConfig);
-  w.i32(cfg.nranks);
-  w.f64(cfg.theta);
-  w.f64(cfg.eps);
-  w.i32(cfg.nleaf);
-  w.i32(cfg.ncrit);
-  w.u8(cfg.quadrupole ? 1 : 0);
-  w.f64(cfg.dt);
-  w.u8(cfg.curve == sfc::CurveType::kMorton ? 1 : 0);
-  w.u64(cfg.samples_per_rank);
-  w.i32(cfg.snap_level);
-  w.u8(cfg.balance == BalanceMode::kCost ? 1 : 0);
-  w.u8(cfg.trace ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(cfg.kernel));
-  w.u8(cfg.let_cache ? 1 : 0);
-  w.f64(cfg.let_churn);
-  return w.finish();
-}
-
-SimConfig decode_config(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kConfig);
-  SimConfig cfg;
-  cfg.nranks = r.i32();
-  cfg.theta = r.f64();
-  cfg.eps = r.f64();
-  cfg.nleaf = r.i32();
-  cfg.ncrit = r.i32();
-  cfg.quadrupole = r.u8() != 0;
-  cfg.dt = r.f64();
-  cfg.curve = r.u8() != 0 ? sfc::CurveType::kMorton : sfc::CurveType::kHilbert;
-  cfg.samples_per_rank = r.u64();
-  cfg.snap_level = r.i32();
-  cfg.balance = r.u8() != 0 ? BalanceMode::kCost : BalanceMode::kCount;
-  cfg.trace = r.u8() != 0;
-  const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
-            "config kernel backend out of range");
-  cfg.kernel = static_cast<KernelBackend>(kernel);
-  const std::uint8_t let_cache = r.u8();
-  r.require(let_cache <= 1, "unknown config let-cache flag");
-  cfg.let_cache = let_cache != 0;
-  cfg.let_churn = r.f64();
-  r.done();
-  r.require(cfg.nranks >= 1 && cfg.nranks <= 255, "config rank count out of range");
-  return cfg;
-}
-
-std::vector<std::uint8_t> encode_step_begin(const StepBegin& sb) {
-  BNS_CHECK(sb.active.size() == sb.boxes.size());
-  Writer w(FrameType::kStepBegin);
-  w.i32(sb.step);
-  w.u8(static_cast<std::uint8_t>(sb.mode));
-  w.aabb(sb.bounds);
-  w.u32(static_cast<std::uint32_t>(sb.active.size()));
-  for (const std::uint8_t a : sb.active) w.u8(a != 0 ? 1 : 0);
-  for (const AABB& b : sb.boxes) w.aabb(b);
-  put_particle_payload(w, -1, sb.parts, /*with_forces=*/false);
-  return w.finish();
-}
-
-StepBegin decode_step_begin(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kStepBegin);
-  StepBegin sb;
-  sb.step = r.i32();
-  const std::uint8_t mode = r.u8();
-  r.require(mode <= static_cast<std::uint8_t>(StepMode::kCollect), "unknown step mode");
-  sb.mode = static_cast<StepMode>(mode);
-  sb.bounds = r.aabb();
-  const std::size_t nranks =
-      r.array_count(r.u32(), 1 + 6 * 8, "rank count exceeds payload");
-  sb.active.resize(nranks);
-  for (std::uint8_t& a : sb.active) a = r.u8();
-  sb.boxes.resize(nranks);
-  for (AABB& b : sb.boxes) b = r.aabb();
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "step-begin batch must not carry forces");
-  sb.parts = std::move(batch.parts);
-  r.done();
-  return sb;
-}
-
-std::vector<std::uint8_t> encode_boundaries(const Boundaries& b) {
-  Writer w(FrameType::kBoundaries);
-  w.i32(b.src);
-  w.i32(b.step);
-  w.u8(b.post_migration ? 1 : 0);
-  w.u64(b.count);
-  w.aabb(b.box);
-  w.f64(b.weight);
-  return w.finish();
-}
-
-Boundaries decode_boundaries(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kBoundaries);
-  Boundaries b;
-  b.src = r.i32();
-  b.step = r.i32();
-  const std::uint8_t phase = r.u8();
-  r.require(phase <= 1, "unknown boundaries phase");
-  b.post_migration = phase != 0;
-  b.count = r.u64();
-  b.box = r.aabb();
-  b.weight = r.f64();
-  r.done();
-  return b;
-}
-
-std::vector<std::uint8_t> encode_key_samples(const KeySamples& ks) {
-  Writer w(FrameType::kKeySamples);
-  w.i32(ks.src);
-  w.i32(ks.step);
-  w.u64(ks.keys.size());
-  w.u64_span(ks.keys);
-  return w.finish();
-}
-
-KeySamples decode_key_samples(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kKeySamples);
-  KeySamples ks;
-  ks.src = r.i32();
-  ks.step = r.i32();
-  const std::size_t n = r.array_count(r.u64(), 8, "sample count exceeds payload");
-  ks.keys.resize(n);
-  r.u64_span(ks.keys);
-  r.done();
-  return ks;
-}
-
-std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet& parts) {
-  Writer w(FrameType::kMigration);
-  w.i32(step);
-  put_particle_payload(w, src, parts, /*with_forces=*/false);
-  return w.finish();
-}
-
-MigrationMsg decode_migration(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kMigration);
-  MigrationMsg msg;
-  msg.step = r.i32();
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "migration batches must travel force-free");
-  msg.src = batch.src;
-  msg.parts = std::move(batch.parts);
-  r.done();
-  return msg;
-}
-
-namespace {
-
-void put_wire_stats(Writer& w, const WireStats& ws) {
-  w.u64(ws.frames);
-  w.u64(ws.bytes);
-  w.f64(ws.encode_seconds);
-  w.f64(ws.decode_seconds);
-}
-
-WireStats read_wire_stats(Reader& r) {
-  WireStats ws;
-  ws.frames = r.u64();
-  ws.bytes = r.u64();
-  ws.encode_seconds = r.f64();
-  ws.decode_seconds = r.f64();
-  return ws;
-}
-
-}  // namespace
-
-namespace {
-
-void put_interaction_stats(Writer& w, const InteractionStats& s) {
-  w.u64(s.p2p);
-  w.u64(s.p2c);
-  w.u64(s.p2p_padded);
-  w.u64(s.p2c_padded);
-  w.u64(s.pp_batches);
-  w.u64(s.pc_batches);
-  for (std::size_t b = 0; b < kBatchHistBuckets; ++b) w.u64(s.batch_hist[b]);
-}
-
-InteractionStats read_interaction_stats(Reader& r) {
-  InteractionStats s;
-  s.p2p = r.u64();
-  s.p2c = r.u64();
-  s.p2p_padded = r.u64();
-  s.p2c_padded = r.u64();
-  s.pp_batches = r.u64();
-  s.pc_batches = r.u64();
-  for (std::size_t b = 0; b < kBatchHistBuckets; ++b) s.batch_hist[b] = r.u64();
-  return s;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
-  Writer w(FrameType::kStepResult);
-  w.i32(sr.rank);
-  w.u64(sr.let_cells);
-  w.u64(sr.let_particles);
-  put_interaction_stats(w, sr.local_stats);
-  put_interaction_stats(w, sr.remote_stats);
-  w.u64(sr.migrated);
-  w.u64(sr.local_count);
-  w.f64(sr.kinetic);
-  w.f64(sr.potential);
-  w.u32(static_cast<std::uint32_t>(sr.times.entries().size()));
-  for (const auto& e : sr.times.entries()) {
-    w.u32(static_cast<std::uint32_t>(e.name.size()));
-    for (const char c : e.name) w.u8(static_cast<std::uint8_t>(c));
-    w.f64(e.seconds);
-  }
-  w.u32(static_cast<std::uint32_t>(sr.let_sizes.size()));
-  for (const LetSizeSample& s : sr.let_sizes) {
-    w.u64(s.cells);
-    w.u64(s.particles);
-    w.u64(s.bytes);
-  }
-  put_wire_stats(w, sr.let_wire);
-  put_wire_stats(w, sr.part_wire);
-  put_wire_stats(w, sr.dom_wire);
-  w.u64(sr.let_delta.full_frames);
-  w.u64(sr.let_delta.delta_frames);
-  w.u64(sr.let_delta.bytes_saved);
-  w.u64(sr.let_delta.cache_hits);
-  w.u64(sr.let_delta.invalidations);
-  w.u32(static_cast<std::uint32_t>(sr.boundaries.size()));
-  w.u64_span(sr.boundaries);
-  w.u32(static_cast<std::uint32_t>(sr.traffic.size()));
-  for (const PeerTraffic& t : sr.traffic) {
-    w.i32(t.src);
-    w.i32(t.dst);
-    w.u16(t.type);
-    w.u64(t.frames);
-    w.u64(t.bytes);
-  }
-  put_particle_payload(w, sr.rank, sr.parts, /*with_forces=*/true);
-  return w.finish();
-}
-
-StepResult decode_step_result(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kStepResult);
-  StepResult sr;
-  sr.rank = r.i32();
-  sr.let_cells = r.u64();
-  sr.let_particles = r.u64();
-  sr.local_stats = read_interaction_stats(r);
-  sr.remote_stats = read_interaction_stats(r);
-  sr.migrated = r.u64();
-  sr.local_count = r.u64();
-  sr.kinetic = r.f64();
-  sr.potential = r.f64();
-  const std::size_t ntimes = r.array_count(r.u32(), 4 + 8, "timing count exceeds payload");
-  for (std::size_t i = 0; i < ntimes; ++i) {
-    const std::size_t len = r.array_count(r.u32(), 1, "timing name exceeds payload");
-    std::string name(len, '\0');
-    for (char& c : name) c = static_cast<char>(r.u8());
-    sr.times.add(name, r.f64());
-  }
-  const std::size_t nsizes = r.array_count(r.u32(), 3 * 8, "LET size count exceeds payload");
-  sr.let_sizes.resize(nsizes);
-  for (LetSizeSample& s : sr.let_sizes) {
-    s.cells = r.u64();
-    s.particles = r.u64();
-    s.bytes = r.u64();
-  }
-  sr.let_wire = read_wire_stats(r);
-  sr.part_wire = read_wire_stats(r);
-  sr.dom_wire = read_wire_stats(r);
-  sr.let_delta.full_frames = r.u64();
-  sr.let_delta.delta_frames = r.u64();
-  sr.let_delta.bytes_saved = r.u64();
-  sr.let_delta.cache_hits = r.u64();
-  sr.let_delta.invalidations = r.u64();
-  const std::size_t nbounds = r.array_count(r.u32(), 8, "boundary count exceeds payload");
-  sr.boundaries.resize(nbounds);
-  r.u64_span(sr.boundaries);
-  const std::size_t ntraffic =
-      r.array_count(r.u32(), 4 + 4 + 2 + 8 + 8, "traffic count exceeds payload");
-  sr.traffic.resize(ntraffic);
-  for (PeerTraffic& t : sr.traffic) {
-    t.src = r.i32();
-    t.dst = r.i32();
-    t.type = r.u16();
-    t.frames = r.u64();
-    t.bytes = r.u64();
-  }
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(batch.with_forces, "step-result batch must carry forces");
-  sr.parts = std::move(batch.parts);
-  r.done();
-  return sr;
-}
-
-namespace {
-
-void put_string(Writer& w, const std::string& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (const char c : s) w.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string read_string(Reader& r, const char* what) {
-  const std::size_t len = r.array_count(r.u32(), 1, what);
-  std::string s(len, '\0');
-  for (char& c : s) c = static_cast<char>(r.u8());
-  return s;
-}
-
-void put_i64(Writer& w, std::int64_t v) { w.u64(static_cast<std::uint64_t>(v)); }
-std::int64_t read_i64(Reader& r) { return static_cast<std::int64_t>(r.u64()); }
-
-// Minimum wire footprint of one span: name length prefix + the fixed fields.
-constexpr std::size_t kSpanMinBytes = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
-
-void put_metrics(Writer& w, const metrics::Snapshot& m) {
-  w.u32(static_cast<std::uint32_t>(m.counters.size()));
-  for (const auto& [name, v] : m.counters) {
-    put_string(w, name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(m.gauges.size()));
-  for (const auto& [name, v] : m.gauges) {
-    put_string(w, name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(m.histograms.size()));
-  for (const auto& [name, h] : m.histograms) {
-    BNS_CHECK(h.counts.size() == h.bounds.size() + 1);
-    put_string(w, name);
-    w.u32(static_cast<std::uint32_t>(h.bounds.size()));
-    w.f64_span(h.bounds);
-    w.u64_span(h.counts);
-    w.u64(h.count);
-    w.f64(h.sum);
-  }
-}
-
-metrics::Snapshot read_metrics(Reader& r) {
-  metrics::Snapshot m;
-  const std::size_t ncounters =
-      r.array_count(r.u32(), 4 + 8, "metric counter count exceeds payload");
-  for (std::size_t i = 0; i < ncounters; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    m.counters[std::move(name)] = r.f64();
-  }
-  const std::size_t ngauges =
-      r.array_count(r.u32(), 4 + 8, "metric gauge count exceeds payload");
-  for (std::size_t i = 0; i < ngauges; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    m.gauges[std::move(name)] = r.f64();
-  }
-  const std::size_t nhists =
-      r.array_count(r.u32(), 4 + 4 + 8 + 8 + 8, "metric histogram count exceeds payload");
-  for (std::size_t i = 0; i < nhists; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    metrics::HistogramData h;
-    const std::size_t nbounds =
-        r.array_count(r.u32(), 8 + 8, "histogram bound count exceeds payload");
-    h.bounds.resize(nbounds);
-    r.f64_span(h.bounds);
-    h.counts.resize(nbounds + 1);
-    r.u64_span(h.counts);
-    h.count = r.u64();
-    h.sum = r.f64();
-    m.histograms.emplace(std::move(name), std::move(h));
-  }
-  return m;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_trace(const TraceFrame& tf) {
-  Writer w(FrameType::kTrace);
-  w.i32(tf.src);
-  w.i32(tf.step);
-  put_i64(w, tf.recv_ns);
-  put_i64(w, tf.send_ns);
-  w.u64(tf.clock_domain);
-  w.u32(static_cast<std::uint32_t>(tf.spans.size()));
-  for (const trace::Span& s : tf.spans) {
-    put_string(w, s.name);
-    put_i64(w, s.begin_ns);
-    put_i64(w, s.end_ns);
-    w.i32(s.rank);
-    w.i32(s.lane);
-    put_i64(w, s.step);
-    put_i64(w, s.peer);
-    put_i64(w, s.bytes);
-  }
-  put_metrics(w, tf.metrics);
-  return w.finish();
-}
-
-TraceFrame decode_trace(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kTrace);
-  TraceFrame tf;
-  tf.src = r.i32();
-  tf.step = r.i32();
-  tf.recv_ns = read_i64(r);
-  tf.send_ns = read_i64(r);
-  tf.clock_domain = r.u64();
-  const std::size_t nspans =
-      r.array_count(r.u32(), kSpanMinBytes, "span count exceeds payload");
-  tf.spans.resize(nspans);
-  for (trace::Span& s : tf.spans) {
-    s.name = read_string(r, "span name exceeds payload");
-    s.begin_ns = read_i64(r);
-    s.end_ns = read_i64(r);
-    s.rank = r.i32();
-    s.lane = r.i32();
-    s.step = read_i64(r);
-    s.peer = read_i64(r);
-    s.bytes = read_i64(r);
-    r.require(s.end_ns >= s.begin_ns, "span ends before it begins");
-  }
-  tf.metrics = read_metrics(r);
-  r.done();
-  return tf;
-}
-
-std::vector<std::uint8_t> encode_shutdown() { return Writer(FrameType::kShutdown).finish(); }
-
-const char* job_state_name(JobState state) {
-  switch (state) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kSuspended: return "suspended";
-    case JobState::kCompleted: return "completed";
-    case JobState::kCancelled: return "cancelled";
-    case JobState::kFailed: return "failed";
-    case JobState::kRejected: return "rejected";
-  }
-  return "unknown";
-}
-
-namespace {
-
-JobState read_job_state(Reader& r) {
-  const std::uint8_t state = r.u8();
-  r.require(state <= static_cast<std::uint8_t>(JobState::kRejected),
-            "unknown job state");
-  return static_cast<JobState>(state);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_job_submit(const JobSpec& spec) {
-  Writer w(FrameType::kJobSubmit);
-  put_string(w, spec.name);
-  w.u64(spec.n);
-  w.u64(spec.seed);
-  w.i32(spec.steps);
-  w.i32(spec.ranks);
-  w.i32(spec.priority);
-  w.f64(spec.theta);
-  w.f64(spec.eps);
-  w.f64(spec.dt);
-  w.u8(static_cast<std::uint8_t>(spec.kernel));
-  put_particle_payload(w, -1, spec.parts, /*with_forces=*/false);
-  return w.finish();
-}
-
-JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kJobSubmit);
-  JobSpec spec;
-  spec.name = read_string(r, "job name exceeds payload");
-  spec.n = r.u64();
-  spec.seed = r.u64();
-  spec.steps = r.i32();
-  spec.ranks = r.i32();
-  spec.priority = r.i32();
-  spec.theta = r.f64();
-  spec.eps = r.f64();
-  spec.dt = r.f64();
-  const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
-            "job kernel backend out of range");
-  spec.kernel = static_cast<KernelBackend>(kernel);
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "job initial condition must travel force-free");
-  spec.parts = std::move(batch.parts);
-  r.done();
-  r.require(spec.steps >= 0, "job step count negative");
-  r.require(spec.ranks >= 0 && spec.ranks <= 255, "job rank request out of range");
-  return spec;
-}
-
-std::vector<std::uint8_t> encode_job_status(const JobStatusMsg& status) {
-  Writer w(FrameType::kJobStatus);
-  w.i32(status.job_id);
-  w.u8(static_cast<std::uint8_t>(status.state));
-  w.u8(status.wait ? 1 : 0);
-  w.i32(status.steps_done);
-  w.i32(status.steps_total);
-  w.i32(status.ranks);
-  w.i32(status.priority);
-  w.u64(status.n);
-  put_string(w, status.reason);
-  return w.finish();
-}
-
-JobStatusMsg decode_job_status(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kJobStatus);
-  JobStatusMsg status;
-  status.job_id = r.i32();
-  status.state = read_job_state(r);
-  const std::uint8_t wait = r.u8();
-  r.require(wait <= 1, "unknown job status flags");
-  status.wait = wait != 0;
-  status.steps_done = r.i32();
-  status.steps_total = r.i32();
-  status.ranks = r.i32();
-  status.priority = r.i32();
-  status.n = r.u64();
-  status.reason = read_string(r, "job status reason exceeds payload");
-  r.done();
-  return status;
-}
-
-std::vector<std::uint8_t> encode_job_result(const JobResultMsg& result) {
-  Writer w(FrameType::kJobResult);
-  w.i32(result.job_id);
-  w.u8(static_cast<std::uint8_t>(result.state));
-  w.i32(result.steps_done);
-  w.f64(result.kinetic);
-  w.f64(result.potential);
-  put_string(w, result.reason);
-  put_particle_payload(w, -1, result.parts, /*with_forces=*/true);
-  return w.finish();
-}
-
-JobResultMsg decode_job_result(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kJobResult);
-  JobResultMsg result;
-  result.job_id = r.i32();
-  result.state = read_job_state(r);
-  result.steps_done = r.i32();
-  result.kinetic = r.f64();
-  result.potential = r.f64();
-  result.reason = read_string(r, "job result reason exceeds payload");
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(batch.with_forces, "job result batch must carry forces");
-  result.parts = std::move(batch.parts);
-  r.done();
-  return result;
-}
-
-std::vector<std::uint8_t> encode_job_cancel(std::int32_t job_id) {
-  Writer w(FrameType::kJobCancel);
-  w.i32(job_id);
-  return w.finish();
-}
-
-std::int32_t decode_job_cancel(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kJobCancel);
-  const std::int32_t job_id = r.i32();
-  r.done();
-  return job_id;
-}
-
-std::vector<std::uint8_t> encode_snapshot(const SnapshotMsg& snap) {
-  Writer w(FrameType::kSnapshot);
-  w.i32(snap.job_id);
-  w.i32(snap.next_step);
-  w.u32(static_cast<std::uint32_t>(snap.sets.size()));
-  for (std::size_t r = 0; r < snap.sets.size(); ++r)
-    put_particle_payload(w, static_cast<int>(r), snap.sets[r], /*with_forces=*/true);
-  return w.finish();
-}
-
-SnapshotMsg decode_snapshot(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kSnapshot);
-  SnapshotMsg snap;
-  snap.job_id = r.i32();
-  snap.next_step = r.i32();
-  // Minimum per-set footprint: the particle payload prologue (src + flags +
-  // count) of an empty set.
-  const std::size_t nsets =
-      r.array_count(r.u32(), 4 + 1 + 8, "snapshot set count exceeds payload");
-  r.require(nsets <= 255, "snapshot rank count out of range");
-  snap.sets.reserve(nsets);
-  for (std::size_t i = 0; i < nsets; ++i) {
-    ParticleBatch batch = read_particle_payload(r);
-    r.require(batch.with_forces, "snapshot sets must carry forces");
-    snap.sets.push_back(std::move(batch.parts));
-  }
-  r.done();
-  return snap;
-}
-
-std::vector<std::uint8_t> encode_metrics_query() {
-  return Writer(FrameType::kMetricsQuery).finish();
-}
-
-std::vector<std::uint8_t> encode_metrics_report(const metrics::Snapshot& snapshot) {
-  Writer w(FrameType::kMetricsReport);
-  put_metrics(w, snapshot);
-  return w.finish();
-}
-
-metrics::Snapshot decode_metrics_report(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kMetricsReport);
-  metrics::Snapshot m = read_metrics(r);
-  r.done();
-  return m;
 }
 
 }  // namespace bonsai::domain::wire

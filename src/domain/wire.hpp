@@ -13,6 +13,13 @@
 // strictly forward, particle ranges inside the payload arrays) are enforced.
 // A malformed frame throws WireError; it never reads out of bounds and never
 // produces a tree the traversal could walk off of.
+//
+// Adding a frame takes one message struct, one fields() description in
+// wire.cpp (the Writer, the bounds-checked Reader and the size pass all run
+// it) and one row in wire.cpp's frame table; a FrameType value without a row
+// fails to compile. Then give the new type a seed frame in
+// tests/fuzz/wire_corpus.hpp and run corpus_dump. Bump kVersion, and
+// regenerate the corpora, only when the bytes of an existing frame change.
 #pragma once
 
 #include <cstdint>
@@ -74,10 +81,26 @@ enum class FrameType : std::uint16_t {
   kMetricsQuery = 19,   // client -> job server: scrape the metrics registry
   kMetricsReport = 20,  // job server -> client: the registry snapshot
   kLetDelta = 21,       // incremental LET: patch against the peer's cached LET
+  kEnd,                 // one past the last frame type: add new types above
 };
 
 // Human-readable frame type name for reports ("Let", "Migration", ...).
 const char* frame_type_name(FrameType type);
+
+// One row of the frame table.
+struct FrameInfo {
+  using Reencode = std::vector<std::uint8_t> (*)(std::span<const std::uint8_t> frame);
+
+  FrameType type;
+  const char* name;
+  // Decode a frame of this type and encode the decoded message again: the
+  // identity on every frame an encoder produced. Null for LetDelta, whose
+  // codec is stateful (encode_let_cached / decode_let_cached).
+  Reencode reencode;
+};
+
+// The frame table: one row per FrameType, in wire-value order.
+std::span<const FrameInfo> frame_table();
 
 // Malformed/truncated/mismatched frame. Decoders throw this (and only this)
 // for any byte-level problem.
@@ -389,7 +412,10 @@ struct TraceFrame {
 std::vector<std::uint8_t> encode_trace(const TraceFrame& tf);
 TraceFrame decode_trace(std::span<const std::uint8_t> frame);
 
+// Payload-less frames: decoding checks the type and that the payload is
+// empty.
 std::vector<std::uint8_t> encode_shutdown();
+void decode_shutdown(std::span<const std::uint8_t> frame);
 
 // --- Job-server client protocol (wire v6; see src/serve/) --------------------
 // Lifecycle of a job on the server. Rejected/Failed/Cancelled/Completed are
@@ -487,6 +513,7 @@ SnapshotMsg decode_snapshot(std::span<const std::uint8_t> frame);
 // Live scrape of a running server's metrics registry (job-labeled step
 // aggregates plus the server's own counters/gauges).
 std::vector<std::uint8_t> encode_metrics_query();
+void decode_metrics_query(std::span<const std::uint8_t> frame);
 std::vector<std::uint8_t> encode_metrics_report(const metrics::Snapshot& snapshot);
 metrics::Snapshot decode_metrics_report(std::span<const std::uint8_t> frame);
 

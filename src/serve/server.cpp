@@ -65,6 +65,19 @@ metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id) {
   return out;
 }
 
+domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
+  domain::SimConfig cfg;
+  cfg.nranks = ranks;
+  cfg.theta = spec.theta;
+  cfg.eps = spec.eps;
+  cfg.dt = spec.dt;
+  cfg.kernel = spec.kernel;
+  cfg.async = false;
+  cfg.threads_per_rank = 1;
+  cfg.balance = domain::BalanceMode::kCount;
+  return cfg;
+}
+
 struct JobServer::Job {
   int id = 0;
   wire::JobSpec spec;
@@ -198,9 +211,11 @@ void JobServer::handle_client(FrameSocket sock) {
           reply = wire::encode_snapshot(handle_snapshot(wire::decode_snapshot(*frame).job_id));
           break;
         case wire::FrameType::kMetricsQuery:
+          wire::decode_metrics_query(*frame);
           reply = wire::encode_metrics_report(scrape_metrics());
           break;
         case wire::FrameType::kShutdown: {
+          wire::decode_shutdown(*frame);
           std::lock_guard<std::mutex> lk(mu_);
           shutdown_requested_ = true;
           cv_.notify_all();
@@ -449,21 +464,7 @@ void JobServer::finish_locked(Job& job, wire::JobState state, const std::string&
 void JobServer::run_job(Job& job) {
   bool slots_held = true;
   try {
-    domain::SimConfig cfg;
-    cfg.nranks = job.ranks;
-    cfg.theta = job.spec.theta;
-    cfg.eps = job.spec.eps;
-    cfg.dt = job.spec.dt;
-    cfg.kernel = job.spec.kernel;
-    // Lockstep with one thread per rank and count balancing is the
-    // deterministic schedule: a job preempted to disk and restored into a
-    // fresh Simulation with this same config continues bit-for-bit (async
-    // grafts remote forces in arrival order; wider device pools change
-    // batch boundaries; cost cuts depend on non-replayable timings).
-    cfg.async = false;
-    cfg.threads_per_rank = 1;
-    cfg.balance = domain::BalanceMode::kCount;
-    domain::Simulation sim(cfg);
+    domain::Simulation sim(job_sim_config(job.ranks, job.spec));
 
     bool resumed;
     {

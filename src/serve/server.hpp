@@ -72,6 +72,14 @@ std::string with_job_label(std::string name, int job_id);
 // Label every metric in `m` with {job=N}.
 metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id);
 
+// The Simulation config a job runs with on `ranks` slots. Lockstep with one
+// thread per rank and count balancing is the deterministic schedule: a job
+// preempted to disk and restored into a fresh Simulation with this same
+// config continues bit-for-bit (async grafts remote forces in arrival order;
+// wider device pools change batch boundaries; cost cuts depend on
+// non-replayable timings).
+domain::SimConfig job_sim_config(int ranks, const domain::wire::JobSpec& spec);
+
 // The resident server. Construction binds the listener and starts serving;
 // destruction (or shutdown()) stops accepting, cancels unfinished jobs and
 // joins every thread. wait_for_shutdown() parks the --serve main thread

@@ -7,15 +7,16 @@
 // so the patch path (not just the "no cached base" rejection) is fuzzed.
 //
 // Users: tests/fuzz/fuzz_wire.cpp, tests/fuzz/fuzz_let_delta.cpp,
-// tools/corpus_dump.cpp and tests/test_fuzz_corpus.cpp. tools/wire_lint.py
-// statically cross-checks that every FrameType appears in both the
-// seed-frame builder and the decode_any() switch below.
+// tools/corpus_dump.cpp and tests/test_fuzz_corpus.cpp. Both the seed list
+// and decode_any() walk wire::frame_table(), so a new frame type is seeded
+// and dispatched as soon as it has a table row and a case in seed_frame().
 #pragma once
 
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,170 +99,159 @@ inline LetDeltaScenario make_let_delta_scenario() {
   return sc;
 }
 
-// One minimized, deterministic frame per FrameType — the checked-in fuzz
-// corpus and the base set for the truncation/byte-flip sweeps. Keep this
-// exhaustive: wire_lint.py fails the build when a FrameType is missing.
+// One minimized, deterministic frame of `type`. A frame-table row without a
+// case here makes seed_frames() throw, which fails every corpus test.
+inline std::vector<std::uint8_t> seed_frame(wire::FrameType type) {
+  const ParticleSet parts = detail::make_seed_particles(3, 11);
+  switch (type) {
+    case wire::FrameType::kLet:
+      return wire::encode_let({1, detail::make_seed_let(make_plummer(48, 7)), 1e-3, 0});
+    case wire::FrameType::kParticles:
+      return wire::encode_particles(2, parts, /*with_forces=*/true);
+    case wire::FrameType::kHello: return wire::encode_hello(3, 40123);
+    case wire::FrameType::kConfig: {
+      domain::SimConfig cfg;
+      cfg.nranks = 2;
+      cfg.trace = true;
+      cfg.let_cache = true;
+      return wire::encode_config(cfg);
+    }
+    case wire::FrameType::kStepBegin: {
+      wire::StepBegin sb;
+      sb.step = 4;
+      sb.mode = wire::StepMode::kHub;
+      sb.bounds = {{-1, -1, -1}, {1, 1, 1}};
+      sb.active = {1, 1};
+      sb.boxes = {AABB{{-1, -1, -1}, {0, 0, 0}}, AABB{{0, 0, 0}, {1, 1, 1}}};
+      sb.parts = parts;
+      return wire::encode_step_begin(sb);
+    }
+    case wire::FrameType::kStepResult: {
+      wire::StepResult sr;
+      sr.rank = 1;
+      sr.let_cells = 5;
+      sr.let_particles = 9;
+      sr.local_count = 3;
+      sr.kinetic = 0.5;
+      sr.potential = -1.25;
+      sr.let_sizes = {{5, 9, 128}};
+      sr.boundaries = {0, sfc::kKeyEnd / 2, sfc::kKeyEnd};
+      sr.traffic = {{0, 1, 1, 3, 512}};
+      return wire::encode_step_result(sr);
+    }
+    case wire::FrameType::kShutdown: return wire::encode_shutdown();
+    case wire::FrameType::kBoundaries:
+      return wire::encode_boundaries({0, 2, true, 64, AABB{{-1, -1, -1}, {1, 1, 1}}, 0.5});
+    case wire::FrameType::kKeySamples: return wire::encode_key_samples({1, 3, {7, 11, 13}});
+    case wire::FrameType::kMigration: return wire::encode_migration(0, 5, make_plummer(2, 3));
+    case wire::FrameType::kPeerDirectory:
+      return wire::encode_peer_directory(std::vector<wire::PeerEndpoint>{
+          {"127.0.0.1", 4001}, {"127.0.0.1", 4002}});
+    case wire::FrameType::kPeerHello: return wire::encode_peer_hello(1);
+    case wire::FrameType::kTrace: {
+      wire::TraceFrame tf;
+      tf.src = 1;
+      tf.step = 2;
+      tf.recv_ns = 100;
+      tf.send_ns = 250;
+      tf.spans.push_back({"step.gravity", 110, 240, 1, 0, 2, -2, 64});
+      tf.metrics.counters["wire.frames"] = 3.0;
+      tf.metrics.gauges["pool.free"] = 1.0;
+      tf.metrics.histograms["batch"] = {{1.0, 2.0}, {0, 2, 1}, 3, 4.5};
+      return wire::encode_trace(tf);
+    }
+    case wire::FrameType::kJobSubmit: {
+      wire::JobSpec spec;
+      spec.name = "fuzz";
+      spec.n = 32;
+      spec.steps = 2;
+      spec.ranks = 1;
+      spec.priority = 1;
+      return wire::encode_job_submit(spec);
+    }
+    case wire::FrameType::kJobStatus: {
+      wire::JobStatusMsg st;
+      st.job_id = 7;
+      st.state = wire::JobState::kRunning;
+      st.steps_done = 1;
+      st.steps_total = 2;
+      st.ranks = 1;
+      st.n = 32;
+      st.reason = "ok";
+      return wire::encode_job_status(st);
+    }
+    case wire::FrameType::kJobResult: {
+      wire::JobResultMsg res;
+      res.job_id = 7;
+      res.state = wire::JobState::kCompleted;
+      res.steps_done = 2;
+      res.kinetic = 0.25;
+      res.potential = -0.5;
+      res.parts = parts;
+      return wire::encode_job_result(res);
+    }
+    case wire::FrameType::kJobCancel: return wire::encode_job_cancel(7);
+    case wire::FrameType::kSnapshot: {
+      wire::SnapshotMsg snap;
+      snap.job_id = 7;
+      snap.next_step = 3;
+      snap.sets = {make_plummer(2, 5), make_plummer(3, 6)};
+      return wire::encode_snapshot(snap);
+    }
+    case wire::FrameType::kMetricsQuery: return wire::encode_metrics_query();
+    case wire::FrameType::kMetricsReport: {
+      metrics::Snapshot snap;
+      snap.counters["server.jobs.completed"] = 2.0;
+      snap.gauges["server.pool.slots_free"] = 3.0;
+      snap.histograms["step.seconds"] = {{0.1}, {1, 2}, 3, 0.9};
+      return wire::encode_metrics_report(snap);
+    }
+    case wire::FrameType::kLetDelta: return make_let_delta_scenario().delta_frame;
+    case wire::FrameType::kEnd: break;
+  }
+  throw std::logic_error(std::string("no seed frame for frame type ") +
+                         wire::frame_type_name(type));
+}
+
+// The seed frame of every frame-table row — the checked-in fuzz corpus and
+// the base set for the truncation/byte-flip sweeps. Corpus file stems are
+// the snake-cased table names ("let_delta").
 inline std::vector<SeedFrame> seed_frames() {
   std::vector<SeedFrame> out;
-  const auto add = [&out](wire::FrameType type, std::vector<std::uint8_t> frame) {
-    std::string name = wire::frame_type_name(type);
+  for (const wire::FrameInfo& row : wire::frame_table()) {
+    const std::string name = row.name;
     std::string snake;
     for (std::size_t i = 0; i < name.size(); ++i) {
       const char c = name[i];
       if (std::isupper(static_cast<unsigned char>(c)) && i > 0) snake.push_back('_');
       snake.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
     }
-    out.push_back({type, std::move(snake), std::move(frame)});
-  };
-
-  const ParticleSet parts = detail::make_seed_particles(3, 11);
-
-  add(wire::FrameType::kLet,
-      wire::encode_let({1, detail::make_seed_let(make_plummer(48, 7)), 1e-3, 0}));
-  add(wire::FrameType::kParticles, wire::encode_particles(2, parts, /*with_forces=*/true));
-  add(wire::FrameType::kHello, wire::encode_hello(3, 40123));
-  {
-    domain::SimConfig cfg;
-    cfg.nranks = 2;
-    cfg.trace = true;
-    cfg.let_cache = true;
-    add(wire::FrameType::kConfig, wire::encode_config(cfg));
+    out.push_back({row.type, std::move(snake), seed_frame(row.type)});
   }
-  {
-    wire::StepBegin sb;
-    sb.step = 4;
-    sb.mode = wire::StepMode::kHub;
-    sb.bounds = {{-1, -1, -1}, {1, 1, 1}};
-    sb.active = {1, 1};
-    sb.boxes = {AABB{{-1, -1, -1}, {0, 0, 0}}, AABB{{0, 0, 0}, {1, 1, 1}}};
-    sb.parts = parts;
-    add(wire::FrameType::kStepBegin, wire::encode_step_begin(sb));
-  }
-  {
-    wire::StepResult sr;
-    sr.rank = 1;
-    sr.let_cells = 5;
-    sr.let_particles = 9;
-    sr.local_count = 3;
-    sr.kinetic = 0.5;
-    sr.potential = -1.25;
-    sr.let_sizes = {{5, 9, 128}};
-    sr.boundaries = {0, sfc::kKeyEnd / 2, sfc::kKeyEnd};
-    sr.traffic = {{0, 1, 1, 3, 512}};
-    add(wire::FrameType::kStepResult, wire::encode_step_result(sr));
-  }
-  add(wire::FrameType::kShutdown, wire::encode_shutdown());
-  add(wire::FrameType::kBoundaries,
-      wire::encode_boundaries({0, 2, true, 64, AABB{{-1, -1, -1}, {1, 1, 1}}, 0.5}));
-  add(wire::FrameType::kKeySamples, wire::encode_key_samples({1, 3, {7, 11, 13}}));
-  add(wire::FrameType::kMigration, wire::encode_migration(0, 5, make_plummer(2, 3)));
-  add(wire::FrameType::kPeerDirectory,
-      wire::encode_peer_directory(std::vector<wire::PeerEndpoint>{
-          {"127.0.0.1", 4001}, {"127.0.0.1", 4002}}));
-  add(wire::FrameType::kPeerHello, wire::encode_peer_hello(1));
-  {
-    wire::TraceFrame tf;
-    tf.src = 1;
-    tf.step = 2;
-    tf.recv_ns = 100;
-    tf.send_ns = 250;
-    tf.spans.push_back({"step.gravity", 110, 240, 1, 0, 2, -2, 64});
-    tf.metrics.counters["wire.frames"] = 3.0;
-    tf.metrics.gauges["pool.free"] = 1.0;
-    tf.metrics.histograms["batch"] = {{1.0, 2.0}, {0, 2, 1}, 3, 4.5};
-    add(wire::FrameType::kTrace, wire::encode_trace(tf));
-  }
-  {
-    wire::JobSpec spec;
-    spec.name = "fuzz";
-    spec.n = 32;
-    spec.steps = 2;
-    spec.ranks = 1;
-    spec.priority = 1;
-    add(wire::FrameType::kJobSubmit, wire::encode_job_submit(spec));
-  }
-  {
-    wire::JobStatusMsg st;
-    st.job_id = 7;
-    st.state = wire::JobState::kRunning;
-    st.steps_done = 1;
-    st.steps_total = 2;
-    st.ranks = 1;
-    st.n = 32;
-    st.reason = "ok";
-    add(wire::FrameType::kJobStatus, wire::encode_job_status(st));
-  }
-  {
-    wire::JobResultMsg res;
-    res.job_id = 7;
-    res.state = wire::JobState::kCompleted;
-    res.steps_done = 2;
-    res.kinetic = 0.25;
-    res.potential = -0.5;
-    res.parts = parts;
-    add(wire::FrameType::kJobResult, wire::encode_job_result(res));
-  }
-  add(wire::FrameType::kJobCancel, wire::encode_job_cancel(7));
-  {
-    wire::SnapshotMsg snap;
-    snap.job_id = 7;
-    snap.next_step = 3;
-    snap.sets = {make_plummer(2, 5), make_plummer(3, 6)};
-    add(wire::FrameType::kSnapshot, wire::encode_snapshot(snap));
-  }
-  add(wire::FrameType::kMetricsQuery, wire::encode_metrics_query());
-  {
-    metrics::Snapshot snap;
-    snap.counters["server.jobs.completed"] = 2.0;
-    snap.gauges["server.pool.slots_free"] = 3.0;
-    snap.histograms["step.seconds"] = {{0.1}, {1, 2}, 3, 0.9};
-    add(wire::FrameType::kMetricsReport, wire::encode_metrics_report(snap));
-  }
-  add(wire::FrameType::kLetDelta, make_let_delta_scenario().delta_frame);
   return out;
 }
 
-// Decode `frame` with the decoder matching its header type. `cache` backs
-// the kLetDelta patch path (and the kLet cache-reset path when non-null);
-// with no cache a LetDelta exercises the hard "no cached base" rejection.
-// Throws WireError on any malformed input — anything else is a fuzz finding.
+// Decode `frame` with the decoder its header type names in the frame table.
+// `cache` backs the kLetDelta patch path (and the kLet cache-reset path when
+// non-null); with no cache a LetDelta exercises the hard "no cached base"
+// rejection. Throws WireError on any malformed input — anything else is a
+// fuzz finding.
 inline void decode_any(std::span<const std::uint8_t> frame,
                        wire::LetCacheEntry* cache = nullptr) {
-  switch (wire::frame_type(frame)) {
-    case wire::FrameType::kLet:
-      if (cache != nullptr) {
-        wire::decode_let_cached(frame, *cache);
-      } else {
-        wire::decode_let(frame);
-      }
-      break;
-    case wire::FrameType::kParticles: wire::decode_particles(frame); break;
-    case wire::FrameType::kHello: wire::decode_hello(frame); break;
-    case wire::FrameType::kConfig: wire::decode_config(frame); break;
-    case wire::FrameType::kStepBegin: wire::decode_step_begin(frame); break;
-    case wire::FrameType::kStepResult: wire::decode_step_result(frame); break;
-    case wire::FrameType::kShutdown: break;  // header-only: frame_type() validated it
-    case wire::FrameType::kBoundaries: wire::decode_boundaries(frame); break;
-    case wire::FrameType::kKeySamples: wire::decode_key_samples(frame); break;
-    case wire::FrameType::kMigration: wire::decode_migration(frame); break;
-    case wire::FrameType::kPeerDirectory: wire::decode_peer_directory(frame); break;
-    case wire::FrameType::kPeerHello: wire::decode_peer_hello(frame); break;
-    case wire::FrameType::kTrace: wire::decode_trace(frame); break;
-    case wire::FrameType::kJobSubmit: wire::decode_job_submit(frame); break;
-    case wire::FrameType::kJobStatus: wire::decode_job_status(frame); break;
-    case wire::FrameType::kJobResult: wire::decode_job_result(frame); break;
-    case wire::FrameType::kJobCancel: wire::decode_job_cancel(frame); break;
-    case wire::FrameType::kSnapshot: wire::decode_snapshot(frame); break;
-    case wire::FrameType::kMetricsQuery: break;  // header-only
-    case wire::FrameType::kMetricsReport: wire::decode_metrics_report(frame); break;
-    case wire::FrameType::kLetDelta: {
-      wire::LetCacheEntry fresh;
-      wire::decode_let_cached(frame, cache != nullptr ? *cache : fresh);
-      break;
-    }
-    default:
-      throw wire::WireError("wire decode: unknown frame type");
+  const wire::FrameType type = wire::frame_type(frame);
+  if (type == wire::FrameType::kLetDelta ||
+      (type == wire::FrameType::kLet && cache != nullptr)) {
+    wire::LetCacheEntry fresh;
+    wire::decode_let_cached(frame, cache != nullptr ? *cache : fresh);
+    return;
   }
+  for (const wire::FrameInfo& row : wire::frame_table()) {
+    if (row.type == type) {
+      row.reencode(frame);
+      return;
+    }
+  }
+  throw wire::WireError("wire decode: unknown frame type");
 }
 
 }  // namespace bonsai::fuzz

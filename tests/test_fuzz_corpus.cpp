@@ -1,11 +1,10 @@
 // Deterministic fuzz sweeps over the seed corpus: every FrameType gets the
 // truncation and byte-flip treatment through the same decode_any() dispatch
-// the libFuzzer harnesses use. This closes the gap the hand-rolled per-frame
-// loops left (Particles/Hello/Config/StepBegin/StepResult had round-trips
-// but no adversarial coverage) and is the "fuzz loop" site tools/wire_lint.py
-// requires for each enum value.
+// the libFuzzer harnesses use, and every stateless frame-table row must
+// decode and re-encode its seed frame byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -36,6 +35,19 @@ TEST(FuzzCorpus, SeedFramesCoverEveryFrameType) {
   }
   for (std::uint16_t t = 1; t <= static_cast<std::uint16_t>(wire::FrameType::kLetDelta); ++t)
     EXPECT_TRUE(seen.count(t)) << "no seed frame for FrameType value " << t;
+}
+
+TEST(FuzzCorpus, EveryStatelessSeedRoundTripsByteForByte) {
+  std::size_t checked = 0;
+  for (const wire::FrameInfo& row : wire::frame_table()) {
+    if (row.reencode == nullptr) continue;  // LetDelta: stateful codec
+    const auto seed = std::find_if(seeds().begin(), seeds().end(),
+                                   [&](const fuzz::SeedFrame& s) { return s.type == row.type; });
+    ASSERT_NE(seed, seeds().end()) << "no seed frame for " << row.name;
+    EXPECT_EQ(row.reencode(seed->frame), seed->frame) << row.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, wire::frame_table().size() - 1);
 }
 
 TEST(FuzzCorpus, EverySeedFrameDecodes) {

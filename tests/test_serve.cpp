@@ -28,21 +28,6 @@ using serve::ServerConfig;
 
 constexpr const char* kHost = "127.0.0.1";
 
-// The deterministic job config the server runs: lockstep, one thread per
-// rank, count balancing (the bit-for-bit resume contract).
-domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
-  domain::SimConfig cfg;
-  cfg.nranks = ranks;
-  cfg.theta = spec.theta;
-  cfg.eps = spec.eps;
-  cfg.dt = spec.dt;
-  cfg.kernel = spec.kernel;
-  cfg.async = false;
-  cfg.threads_per_rank = 1;
-  cfg.balance = domain::BalanceMode::kCount;
-  return cfg;
-}
-
 ServerConfig test_server_config(const std::string& tag) {
   ServerConfig cfg;
   cfg.port = 0;
@@ -302,10 +287,32 @@ TEST(Serve, PreemptedJobResumesBitForBitWithUninterruptedRun) {
 
   // Reference: the same job uninterrupted, in-process, same deterministic
   // config. The preempt/resume cycle must not change a single bit.
-  domain::Simulation ref(job_sim_config(2, low));
+  domain::Simulation ref(serve::job_sim_config(2, low));
   ref.init(make_plummer(low.n, low.seed));
   for (int s = 0; s < low.steps; ++s) ref.step();
   expect_same_particles(r1.parts, ref.gather());
+}
+
+TEST(Serve, PayloadlessRequestsCarryingAPayloadAreBadRequests) {
+  ServerConfig cfg = test_server_config("trailing");
+  cfg.limits.pool_slots = 1;
+  JobServer server(cfg);
+  serve::FrameSocket sock = serve::dial(kHost, server.port());
+  for (std::vector<std::uint8_t> request :
+       {wire::encode_metrics_query(), wire::encode_shutdown()}) {
+    request.push_back(0);
+    request[8] = 1;  // payload length (little-endian u64 at offset 8)
+    sock.send(request);
+    // A well-formed request behind it: a server that acted on the malformed
+    // one without replying would answer this one first.
+    sock.send(wire::encode_metrics_query());
+    const wire::JobStatusMsg reply = wire::decode_job_status(sock.recv());
+    EXPECT_EQ(reply.state, wire::JobState::kRejected);
+    EXPECT_EQ(reply.reason.rfind("bad request", 0), 0u) << reply.reason;
+    EXPECT_NE(reply.reason.find("trailing bytes after payload"), std::string::npos)
+        << reply.reason;
+    EXPECT_NO_THROW(wire::decode_metrics_report(sock.recv()));
+  }
 }
 
 TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {

@@ -442,6 +442,24 @@ TEST(Wire, StepResultCarriesSpmdAggregates) {
   EXPECT_EQ(back.parts.size(), 0u);  // SPMD results travel particle-free
 }
 
+TEST(Wire, PayloadlessFramesRejectTrailingBytes) {
+  for (std::vector<std::uint8_t> frame : {wire::encode_shutdown(), wire::encode_metrics_query()}) {
+    const wire::FrameType type = wire::frame_type(frame);
+    const auto decode = type == wire::FrameType::kShutdown ? wire::decode_shutdown
+                                                           : wire::decode_metrics_query;
+    EXPECT_NO_THROW(decode(frame));
+    frame.push_back(0);
+    frame[8] = 1;  // payload length (little-endian u64 at offset 8)
+    try {
+      decode(frame);
+      ADD_FAILURE() << wire::frame_type_name(type) << " accepted a 1-byte payload";
+    } catch (const wire::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("trailing bytes after payload"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Wire, ControlFramesRoundTrip) {
   const wire::Hello h = wire::decode_hello(wire::encode_hello(9, 40123));
   EXPECT_EQ(h.rank, 9);
