@@ -9,6 +9,17 @@
 
 namespace bonsai::domain {
 
+namespace {
+
+// Pow-2 LET frame-size buckets, 16 B .. 4 GiB: fixed bounds, so every rank's
+// histogram merges with every other's.
+const std::vector<double>& let_size_bounds() {
+  static const std::vector<double> bounds = metrics::pow2_bounds(4, 32);
+  return bounds;
+}
+
+}  // namespace
+
 LetExchange::LetExchange(Transport& transport, const std::vector<std::uint8_t>& active,
                          LetChannelState* state)
     : transport_(transport), state_(state) {
@@ -20,9 +31,7 @@ LetExchange::LetExchange(Transport& transport, const std::vector<std::uint8_t>& 
   remaining_.reserve(nranks);
   for (std::size_t r = 0; r < nranks; ++r)
     remaining_.push_back(active[r] && num_active > 0 ? num_active - 1 : 0);
-  encode_.resize(nranks);
-  decode_.resize(nranks);
-  delta_.resize(nranks);
+  metrics_.resize(nranks);
 }
 
 std::size_t LetExchange::remaining(int dst) const {
@@ -35,18 +44,19 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double expor
   span.set_peer(dst);
   WallTimer timer;
   std::vector<std::uint8_t> frame;
+  metrics::Snapshot& m = metrics_[static_cast<std::size_t>(src)];
   if (state_ != nullptr && state_->enabled) {
     wire::LetEncodeResult res = wire::encode_let_cached(
         {src, let, export_seconds, /*wire_bytes=*/0}, state_->send_entry(src, dst),
         state_->churn_ratio, &state_->scratch[static_cast<std::size_t>(src)]);
     frame = std::move(res.frame);
-    wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
-    if (res.is_delta) {
-      ds.delta_frames += 1;
-      ds.bytes_saved += res.full_bytes - frame.size();
-    } else {
-      ds.full_frames += 1;
-    }
+    // Every let.delta row exists once a cached frame flows, zeros included.
+    m.counters["let.delta.frames{kind=full}"] += res.is_delta ? 0.0 : 1.0;
+    m.counters["let.delta.frames{kind=delta}"] += res.is_delta ? 1.0 : 0.0;
+    m.counters["let.delta.bytes_saved"] +=
+        res.is_delta ? static_cast<double>(res.full_bytes - frame.size()) : 0.0;
+    m.counters["let.delta.cache_hits"] += 0.0;
+    m.counters["let.delta.invalidations"] += 0.0;
   } else if (state_ != nullptr) {
     frame = wire::encode_let_scratch({src, let, export_seconds, /*wire_bytes=*/0},
                                      state_->scratch[static_cast<std::size_t>(src)]);
@@ -55,10 +65,7 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double expor
   }
   const std::size_t bytes = frame.size();
   span.set_bytes(static_cast<std::int64_t>(bytes));
-  wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
-  ws.frames += 1;
-  ws.bytes += bytes;
-  ws.encode_seconds += timer.elapsed();
+  wire::count_wire(m, "let", 1, bytes, timer.elapsed(), 0.0);
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -76,6 +83,7 @@ std::optional<wire::LetMessage> LetExchange::recv(int dst) {
   span.set_bytes(static_cast<std::int64_t>(frame->size()));
   WallTimer timer;
   wire::LetMessage msg;
+  metrics::Snapshot& m = metrics_[static_cast<std::size_t>(dst)];
   if (state_ != nullptr && state_->enabled) {
     const int src = wire::peek_let_src(*frame);
     BNS_CHECK(src >= 0 && src < num_ranks() && src != dst,
@@ -84,32 +92,25 @@ std::optional<wire::LetMessage> LetExchange::recv(int dst) {
     const bool had_cache = entry.version != 0;
     const bool is_delta = wire::frame_type(*frame) == wire::FrameType::kLetDelta;
     msg = wire::decode_let_cached(*frame, entry);
-    wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(dst)];
     if (is_delta)
-      ds.cache_hits += 1;
+      m.counters["let.delta.cache_hits"] += 1;
     else if (had_cache)
-      ds.invalidations += 1;
+      m.counters["let.delta.invalidations"] += 1;
   } else {
     msg = wire::decode_let(*frame);
   }
   span.set_peer(msg.src);
-  decode_[static_cast<std::size_t>(dst)].decode_seconds += timer.elapsed();
+  wire::count_wire(m, "let", 0, 0, 0.0, timer.elapsed());
+  metrics::observe(m, "let.size.bytes", let_size_bounds(),
+                   static_cast<double>(msg.wire_bytes));
   --remaining;
   return msg;
 }
 
 void LetExchange::close(int dst) { transport_.close(dst); }
 
-const wire::WireStats& LetExchange::encode_stats(int r) const {
-  return encode_[static_cast<std::size_t>(r)];
-}
-
-const wire::WireStats& LetExchange::decode_stats(int r) const {
-  return decode_[static_cast<std::size_t>(r)];
-}
-
-const wire::LetDeltaStats& LetExchange::delta_stats(int r) const {
-  return delta_[static_cast<std::size_t>(r)];
+const metrics::Snapshot& LetExchange::metrics(int r) const {
+  return metrics_[static_cast<std::size_t>(r)];
 }
 
 MigrationExchange::MigrationExchange(Transport& transport, int nranks)
@@ -117,8 +118,7 @@ MigrationExchange::MigrationExchange(Transport& transport, int nranks)
   BNS_CHECK(nranks >= 1);
   remaining_.assign(static_cast<std::size_t>(nranks),
                     static_cast<std::size_t>(nranks - 1));
-  encode_.resize(static_cast<std::size_t>(nranks));
-  decode_.resize(static_cast<std::size_t>(nranks));
+  metrics_.resize(static_cast<std::size_t>(nranks));
 }
 
 std::size_t MigrationExchange::remaining(int dst) const {
@@ -133,10 +133,8 @@ std::size_t MigrationExchange::post(int src, int dst, const ParticleSet& parts, 
   std::vector<std::uint8_t> frame = wire::encode_migration(src, step, parts);
   const std::size_t bytes = frame.size();
   span.set_bytes(static_cast<std::int64_t>(bytes));
-  wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
-  ws.frames += 1;
-  ws.bytes += bytes;
-  ws.encode_seconds += timer.elapsed();
+  wire::count_wire(metrics_[static_cast<std::size_t>(src)], "part", 1, bytes,
+                   timer.elapsed(), 0.0);
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -156,18 +154,15 @@ std::optional<wire::MigrationMsg> MigrationExchange::recv(int dst, int step) {
   WallTimer timer;
   wire::MigrationMsg msg = wire::decode_migration(*frame);
   span.set_peer(msg.src);
-  decode_[static_cast<std::size_t>(dst)].decode_seconds += timer.elapsed();
+  wire::count_wire(metrics_[static_cast<std::size_t>(dst)], "part", 0, 0, 0.0,
+                   timer.elapsed());
   BNS_CHECK(msg.step == step, "migration batch from a different step");
   --remaining;
   return msg;
 }
 
-const wire::WireStats& MigrationExchange::encode_stats(int r) const {
-  return encode_[static_cast<std::size_t>(r)];
-}
-
-const wire::WireStats& MigrationExchange::decode_stats(int r) const {
-  return decode_[static_cast<std::size_t>(r)];
+const metrics::Snapshot& MigrationExchange::metrics(int r) const {
+  return metrics_[static_cast<std::size_t>(r)];
 }
 
 }  // namespace bonsai::domain

@@ -21,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "domain/metrics.hpp"
 #include "domain/wire.hpp"
 
 namespace bonsai::domain {
@@ -145,15 +146,17 @@ class LetExchange {
   std::size_t remaining(int dst) const;
 
   // Nonblocking post of src's LET for dst (called from src's driver thread):
-  // encodes the frame, hands the bytes to the transport, and accounts the
-  // encode under src. Returns the encoded frame size.
+  // encodes the frame, hands the bytes to the transport, and books the
+  // encode (and, with the cache on, the frame kind) under src. Returns the
+  // encoded frame size.
   std::size_t post(int src, int dst, const LetTree& let, double export_seconds);
 
   // Blocking receive of dst's next LET, in arrival order; nullopt once every
-  // expected LET has been delivered. Decodes + validates the frame and
-  // accounts the decode under dst. Must only be called from dst's driver
-  // thread (the single consumer of dst's endpoint). Throws if the endpoint
-  // was close()d before all expected arrivals (fail fast, never hang).
+  // expected LET has been delivered. Decodes + validates the frame and books
+  // the decode and the frame size under dst. Must only be called from dst's
+  // driver thread (the single consumer of dst's endpoint). Throws if the
+  // endpoint was close()d before all expected arrivals (fail fast, never
+  // hang).
   std::optional<wire::LetMessage> recv(int dst);
 
   // Failure-path escape hatch: closes dst's transport endpoint so a peer
@@ -161,25 +164,19 @@ class LetExchange {
   // forever. Works even when an empty compensation frame cannot be built.
   void close(int dst);
 
-  // Serialization accounting, per rank: encodes posted by r (frames/bytes
-  // out + encode seconds) and decodes consumed by r (decode seconds). Each
-  // entry is touched only by its own rank's driver thread.
-  const wire::WireStats& encode_stats(int r) const;
-  const wire::WireStats& decode_stats(int r) const;
-
-  // Incremental-exchange accounting: full/delta frames and bytes saved
-  // posted by r, plus deltas applied (cache_hits) and cache resets
-  // (invalidations) observed by r as an importer. All zero when the cache
-  // is off.
-  const wire::LetDeltaStats& delta_stats(int r) const;
+  // What rank r booked this step, touched only by r's driver thread:
+  // wire.let.* for the frames r posted (frames, bytes, encode seconds) and
+  // decoded (decode seconds); the let.size.bytes histogram of the frames r
+  // imported; and, with the cache on, let.delta.* — full and delta frames
+  // and bytes saved as an exporter, deltas applied (cache_hits) and cache
+  // resets (invalidations) as an importer.
+  const metrics::Snapshot& metrics(int r) const;
 
  private:
   Transport& transport_;
   LetChannelState* state_;               // nullptr: always-full legacy path
   std::vector<std::size_t> remaining_;  // per-dst, touched only by its consumer
-  std::vector<wire::WireStats> encode_;  // per-src
-  std::vector<wire::WireStats> decode_;  // per-dst
-  std::vector<wire::LetDeltaStats> delta_;  // exporter side per-src, importer per-dst
+  std::vector<metrics::Snapshot> metrics_;  // per rank
 };
 
 // The particle alltoallv of one SPMD step over a Transport — the LET mailbox
@@ -199,7 +196,7 @@ class MigrationExchange {
   std::size_t remaining(int dst) const;
 
   // Nonblocking post of src's emigrants bound for dst: encodes the frame,
-  // hands the bytes to the transport, accounts the encode under src. Returns
+  // hands the bytes to the transport, books the encode under src. Returns
   // the encoded frame size.
   std::size_t post(int src, int dst, const ParticleSet& parts, int step);
 
@@ -208,15 +205,13 @@ class MigrationExchange {
   // (fail fast, never hang) or a frame belongs to a different step.
   std::optional<wire::MigrationMsg> recv(int dst, int step);
 
-  // Serialization accounting, mirroring LetExchange.
-  const wire::WireStats& encode_stats(int r) const;
-  const wire::WireStats& decode_stats(int r) const;
+  // Rank r's wire.part.* rows, mirroring LetExchange::metrics.
+  const metrics::Snapshot& metrics(int r) const;
 
  private:
   Transport& transport_;
   std::vector<std::size_t> remaining_;
-  std::vector<wire::WireStats> encode_;
-  std::vector<wire::WireStats> decode_;
+  std::vector<metrics::Snapshot> metrics_;
 };
 
 }  // namespace bonsai::domain

@@ -243,62 +243,60 @@ StepReport ClusterSimulation::step() {
   return cfg_.mode == ClusterMode::kSpmd ? step_spmd() : step_hub();
 }
 
-wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& rec,
-                                                     StepReport& report,
-                                                     std::vector<std::uint8_t>& seen,
-                                                     std::span<const std::int64_t> post_ns,
-                                                     std::vector<trace::Span>& spans) {
-  std::optional<std::vector<std::uint8_t>> frame;
-  for (;;) {
-    {
-      trace::ScopedSpan wait("cluster.recv.result", kCoordinatorRank);
-      frame = net_->recv(kCoordinatorRank);
+std::vector<wire::StepResult> ClusterSimulation::recv_step_results(
+    TrafficRecordingTransport& rec, StepReport& report, std::span<const std::int64_t> post_ns,
+    std::vector<trace::Span>& spans) {
+  const std::size_t nranks = post_ns.size();
+  std::vector<wire::StepResult> results(nranks);
+  std::vector<std::uint8_t> seen(nranks, 0);
+  for (std::size_t i = 0; i < nranks; ++i) {
+    std::optional<std::vector<std::uint8_t>> frame;
+    for (;;) {
+      {
+        trace::ScopedSpan wait("cluster.recv.result", kCoordinatorRank);
+        frame = net_->recv(kCoordinatorRank);
+      }
+      BNS_CHECK(frame.has_value(), "a worker disconnected before its step result (" +
+                                       net_->close_reason() + ")");
+      if (wire::frame_type(*frame) != wire::FrameType::kTrace) break;
+      // A worker's observability sidecar, sent just ahead of its StepResult:
+      // merge its spans onto the coordinator's clock. A worker on this host
+      // reads the same clock; any other gets an offset estimated from the
+      // StepBegin/Trace round-trip.
+      const std::int64_t arrive_ns = now_ns();
+      wire::TraceFrame tf = wire::decode_trace(*frame);
+      BNS_CHECK(tf.src >= 0 && tf.src < static_cast<int>(nranks),
+                "trace frame from an impossible rank");
+      trace::ClockSync sync;
+      sync.coord_post_ns = post_ns[static_cast<std::size_t>(tf.src)];
+      sync.coord_arrive_ns = arrive_ns;
+      sync.worker_recv_ns = tf.recv_ns;
+      sync.worker_send_ns = tf.send_ns;
+      trace::shift_spans(tf.spans, tf.clock_domain == trace::clock_domain()
+                                       ? 0
+                                       : trace::estimate_clock_offset(sync));
+      spans.insert(spans.end(), std::make_move_iterator(tf.spans.begin()),
+                   std::make_move_iterator(tf.spans.end()));
     }
-    BNS_CHECK(frame.has_value(), "a worker disconnected before its step result (" +
-                                            net_->close_reason() + ")");
-    if (wire::frame_type(*frame) != wire::FrameType::kTrace) break;
-    // A worker's observability sidecar, sent just ahead of its StepResult:
-    // merge its spans onto the coordinator's clock. A worker on this host
-    // reads the same clock; any other gets an offset estimated from the
-    // StepBegin/Trace round-trip.
-    const std::int64_t arrive_ns = now_ns();
-    wire::TraceFrame tf = wire::decode_trace(*frame);
-    BNS_CHECK(tf.src >= 0 && tf.src < static_cast<int>(post_ns.size()),
-                     "trace frame from an impossible rank");
-    trace::ClockSync sync;
-    sync.coord_post_ns = post_ns[static_cast<std::size_t>(tf.src)];
-    sync.coord_arrive_ns = arrive_ns;
-    sync.worker_recv_ns = tf.recv_ns;
-    sync.worker_send_ns = tf.send_ns;
-    trace::shift_spans(tf.spans, tf.clock_domain == trace::clock_domain()
-                                     ? 0
-                                     : trace::estimate_clock_offset(sync));
-    spans.insert(spans.end(), std::make_move_iterator(tf.spans.begin()),
-                 std::make_move_iterator(tf.spans.end()));
+    WallTimer timer;
+    wire::StepResult sr = wire::decode_step_result(*frame);
+    wire::count_wire(report.metrics, "part", 1, frame->size(), 0.0, timer.elapsed());
+    BNS_CHECK(sr.rank >= 0 && sr.rank < static_cast<int>(nranks) &&
+                  !seen[static_cast<std::size_t>(sr.rank)],
+              "duplicate or out-of-range step result");
+    seen[static_cast<std::size_t>(sr.rank)] = 1;
+    rec.record(sr.rank, kCoordinatorRank,
+               static_cast<std::uint16_t>(wire::FrameType::kStepResult), frame->size());
+    results[static_cast<std::size_t>(sr.rank)] = std::move(sr);
   }
-  WallTimer timer;
-  wire::StepResult sr = wire::decode_step_result(*frame);
-  report.part_wire.decode_seconds += timer.elapsed();
-  report.part_wire.frames += 1;
-  report.part_wire.bytes += frame->size();
-  BNS_CHECK(sr.rank >= 0 && sr.rank < static_cast<int>(seen.size()) &&
-                       !seen[static_cast<std::size_t>(sr.rank)],
-                   "duplicate or out-of-range step result");
-  seen[static_cast<std::size_t>(sr.rank)] = 1;
-  rec.record(sr.rank, kCoordinatorRank,
-             static_cast<std::uint16_t>(wire::FrameType::kStepResult), frame->size());
-  report.let_cells += sr.let_cells;
-  report.let_particles += sr.let_particles;
-  report.local_stats += sr.local_stats;
-  report.remote_stats += sr.remote_stats;
-  report.let_wire += sr.let_wire;
-  report.part_wire += sr.part_wire;
-  report.dom_wire += sr.dom_wire;
-  report.let_delta += sr.let_delta;
-  report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
-                          sr.let_sizes.end());
-  wire::merge_traffic(report.traffic, sr.traffic);
-  return sr;
+  for (const wire::StepResult& sr : results) {
+    report.let_cells += sr.let_cells;
+    report.let_particles += sr.let_particles;
+    report.local_stats += sr.local_stats;
+    report.remote_stats += sr.remote_stats;
+    metrics::merge(report.metrics, sr.metrics);
+  }
+  return results;
 }
 
 StepReport ClusterSimulation::step_hub() {
@@ -339,22 +337,17 @@ StepReport ClusterSimulation::step_hub() {
     span.set_peer(static_cast<std::int64_t>(r));
     WallTimer timer;
     std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    report.part_wire.encode_seconds += timer.elapsed();
-    report.part_wire.frames += 1;
-    report.part_wire.bytes += frame.size();
+    wire::count_wire(report.metrics, "part", 1, frame.size(), timer.elapsed(), 0.0);
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
     post_ns[r] = now_ns();
     rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
   }
 
-  // Collect one result per worker, in arrival order.
-  std::vector<std::uint8_t> seen(nranks, 0);
   std::vector<trace::Span> worker_spans;
-  for (std::size_t i = 0; i < nranks; ++i) {
-    wire::StepResult sr = recv_step_result(rec, report, seen, post_ns, worker_spans);
-    const auto r = static_cast<std::size_t>(sr.rank);
-    sets_[r] = std::move(sr.parts);
-    rank_times[r] = std::move(sr.times);
+  std::vector<wire::StepResult> results = recv_step_results(rec, report, post_ns, worker_spans);
+  for (std::size_t r = 0; r < nranks; ++r) {
+    sets_[r] = std::move(results[r].parts);
+    rank_times[r] = std::move(results[r].times);
   }
 
   prev_gravity_seconds_.assign(nranks, 0.0);
@@ -365,9 +358,9 @@ StepReport ClusterSimulation::step_hub() {
     prev_rank_size_[r] = sets_[r].size();
   }
 
-  wire::merge_traffic(report.traffic, rec.take());
-  wire::merge_traffic(report.traffic, migrate_rec_->take());
-  wire::merge_traffic(report.routed, net_->take_routed());
+  metrics::merge(report.metrics, rec.take());
+  metrics::merge(report.metrics, migrate_rec_->take());
+  metrics::merge(report.metrics, net_->take_routed());
   fold_stage_times(report, driver_times, rank_times);
   report.elapsed = wall.elapsed();
   // drain_thread, not drain_all: in-process test workers drain their own
@@ -378,7 +371,7 @@ StepReport ClusterSimulation::step_hub() {
                         std::make_move_iterator(worker_spans.begin()),
                         std::make_move_iterator(worker_spans.end()));
   }
-  report.metrics = build_step_metrics(report);
+  metrics::merge(report.metrics, build_step_metrics(report));
   return report;
 }
 
@@ -408,24 +401,22 @@ StepReport ClusterSimulation::step_spmd() {
     span.set_peer(static_cast<std::int64_t>(r));
     WallTimer timer;
     std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    report.part_wire.encode_seconds += timer.elapsed();
-    report.part_wire.frames += 1;
-    report.part_wire.bytes += frame.size();
+    wire::count_wire(report.metrics, "part", 1, frame.size(), timer.elapsed(), 0.0);
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
     post_ns[r] = now_ns();
     rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
   }
 
   std::vector<TimeBreakdown> rank_times(nranks);
-  std::vector<std::uint8_t> seen(nranks, 0);
   std::vector<trace::Span> worker_spans;
+  std::vector<wire::StepResult> results = recv_step_results(rec, report, post_ns, worker_spans);
   std::vector<sfc::Key> agreed_bounds;
   std::size_t total = 0;
   std::uint64_t migrated = 0;
   double kinetic = 0.0, potential = 0.0;
-  for (std::size_t i = 0; i < nranks; ++i) {
-    wire::StepResult sr = recv_step_result(rec, report, seen, post_ns, worker_spans);
-    rank_times[static_cast<std::size_t>(sr.rank)] = std::move(sr.times);
+  for (std::size_t r = 0; r < nranks; ++r) {
+    wire::StepResult& sr = results[r];
+    rank_times[r] = std::move(sr.times);
     total += sr.local_count;
     migrated += sr.migrated;
     kinetic += sr.kinetic;
@@ -449,8 +440,8 @@ StepReport ClusterSimulation::step_spmd() {
   spmd_potential_ = potential;
   spmd_stepped_ = true;
 
-  wire::merge_traffic(report.traffic, rec.take());
-  wire::merge_traffic(report.routed, net_->take_routed());
+  metrics::merge(report.metrics, rec.take());
+  metrics::merge(report.metrics, net_->take_routed());
   TimeBreakdown driver_times;
   fold_stage_times(report, driver_times, rank_times);
   report.elapsed = wall.elapsed();
@@ -460,7 +451,7 @@ StepReport ClusterSimulation::step_spmd() {
                         std::make_move_iterator(worker_spans.begin()),
                         std::make_move_iterator(worker_spans.end()));
   }
-  report.metrics = build_step_metrics(report);
+  metrics::merge(report.metrics, build_step_metrics(report));
   return report;
 }
 
@@ -521,25 +512,22 @@ struct SpmdState {
   std::size_t prev_size = 0;
 };
 
-// Broadcast one encoded frame to every peer, accounting encode time once and
-// frames/bytes per post (each peer receives its own copy of the bytes).
+// Broadcast one encoded domain frame to every peer, booked as wire.dom: the
+// encode time once, frames/bytes per post (each peer receives its own copy).
 template <typename EncodeFn>
-void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
+void broadcast(Transport& out, int self, int nranks, metrics::Snapshot& booked,
                EncodeFn&& encode) {
   WallTimer timer;
   const std::vector<std::uint8_t> frame = encode();
-  ws.encode_seconds += timer.elapsed();
-  for (int dst = 0; dst < nranks; ++dst) {
-    if (dst == self) continue;
-    ws.frames += 1;
-    ws.bytes += frame.size();
-    out.post(self, dst, frame);
-  }
+  const auto peers = static_cast<std::uint64_t>(nranks - 1);
+  wire::count_wire(booked, "dom", peers, peers * frame.size(), timer.elapsed(), 0.0);
+  for (int dst = 0; dst < nranks; ++dst)
+    if (dst != self) out.post(self, dst, frame);
 }
 
 // The build + LET exchange + gravity + integration tail both worker modes
-// share, LET statistics copied into the step result — one definition, so the
-// hub and SPMD reports cannot drift.
+// share, LET statistics and accounting copied into the step result — one
+// definition, so the hub and SPMD reports cannot drift.
 void run_let_gravity_phase(Rank& rank, const SimConfig& cfg, const sfc::KeySpace& space,
                            FrameDemux& demux, Transport& out,
                            const std::vector<std::uint8_t>& active,
@@ -551,27 +539,30 @@ void run_let_gravity_phase(Rank& rank, const SimConfig& cfg, const sfc::KeySpace
   std::size_t next_peer = 1;
   RankStepStats out_stats =
       run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
-  const int self = rank.id();
   sr.let_cells = out_stats.let_cells;
   sr.let_particles = out_stats.let_particles;
   sr.local_stats = out_stats.local_stats;
   sr.remote_stats = out_stats.remote_stats;
-  sr.let_sizes = std::move(out_stats.let_sizes);
-  sr.let_wire = let_net.encode_stats(self);
-  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
-  sr.let_delta = let_net.delta_stats(self);
+  metrics::merge(sr.metrics, let_net.metrics(rank.id()));
 }
 
 // The decentralized per-step domain update + migration + LET/gravity body of
-// one SPMD worker. Fills sr's statistics (times excepted: the caller owns
-// the breakdown) and leaves the stepped particles resident in `rank`.
+// one SPMD worker. Fills sr's statistics and books its wire.dom/part rows
+// (times excepted: the caller owns the breakdown) and leaves the stepped
+// particles resident in `rank`.
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
                    Transport& out, SpmdState& st, LetChannelState& let_state,
                    TimeBreakdown& times, wire::StepResult& sr) {
   const int nranks = cfg.nranks;
   const int self = rank.id();
   ParticleSet& parts = rank.parts();
-  wire::WireStats dom_ws;
+  metrics::Snapshot& booked = sr.metrics;
+  // Codec seconds booked so far this step over the domain and migration
+  // frames, for carving the wire rows out of the phase timings.
+  const auto codec_seconds = [&booked](const char* row) {
+    return booked.counter(std::string("wire.dom.") + row) +
+           booked.counter(std::string("wire.part.") + row);
+  };
 
   // Compose a disconnect error with the transport's recorded cause, so "a
   // peer vanished" distinguishes an orderly peer close from a socket errno.
@@ -608,7 +599,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   if (!parts.empty()) pre.box = parts.bounds();
   if (cfg.balance == BalanceMode::kCost && step > 0 && st.prev_size > 0)
     pre.weight = st.prev_gravity_seconds / static_cast<double>(st.prev_size);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(pre); });
+  broadcast(out, self, nranks, booked, [&] { return wire::encode_boundaries(pre); });
 
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
   std::vector<double> weights(static_cast<std::size_t>(nranks), 0.0);
@@ -624,7 +615,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
     if (!frame) throw vanished("the domain allgather");
     WallTimer timer;
     const wire::Boundaries b = wire::decode_boundaries(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
+    wire::count_wire(booked, "dom", 0, 0, 0.0, timer.elapsed());
     BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
                      "boundaries from an impossible or duplicate rank");
     BNS_CHECK(b.step == step && !b.post_migration,
@@ -647,7 +638,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   mine.src = self;
   mine.step = step;
   mine.keys = sample_keys(parts, space, stride);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_key_samples(mine); });
+  broadcast(out, self, nranks, booked, [&] { return wire::encode_key_samples(mine); });
 
   std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
   samples[static_cast<std::size_t>(self)] = std::move(mine.keys);
@@ -659,7 +650,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
     if (!frame) throw vanished("the sample allgather");
     WallTimer timer;
     wire::KeySamples ks = wire::decode_key_samples(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
+    wire::count_wire(booked, "dom", 0, 0, 0.0, timer.elapsed());
     BNS_CHECK(
         ks.src >= 0 && ks.src < nranks && !seen[static_cast<std::size_t>(ks.src)],
         "key samples from an impossible or duplicate rank");
@@ -677,7 +668,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   const Decomposition decomp =
       Decomposition::from_weighted_samples(std::move(pooled), nranks, cfg.snap_level);
   sr.boundaries.assign(decomp.boundaries().begin(), decomp.boundaries().end());
-  const double dom_wire_pre = dom_ws.encode_seconds + dom_ws.decode_seconds;
+  const double dom_wire_pre = codec_seconds("encode_s") + codec_seconds("decode_s");
   times.add("Domain update", std::max(0.0, domain_timer.elapsed() - dom_wire_pre));
   emit_phase("domain.update", phase_domain_ns);
 
@@ -691,8 +682,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   MigrationExchange mex(mig_net, nranks);
   const ExchangeStats ex = exchange_resident(parts, self, space, decomp, mex, step);
   sr.migrated = ex.migrated;
-  wire::WireStats part_ws = mex.encode_stats(self);
-  part_ws.decode_seconds = mex.decode_stats(self).decode_seconds;
+  metrics::merge(booked, mex.metrics(self));
 
   wire::Boundaries post;
   post.src = self;
@@ -700,7 +690,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   post.post_migration = true;
   post.count = parts.size();
   if (!parts.empty()) post.box = parts.bounds();
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(post); });
+  broadcast(out, self, nranks, booked, [&] { return wire::encode_boundaries(post); });
 
   std::vector<std::uint8_t> active(static_cast<std::size_t>(nranks), 0);
   std::vector<AABB> boxes(static_cast<std::size_t>(nranks));
@@ -714,7 +704,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
     if (!frame) throw vanished("the box allgather");
     WallTimer timer;
     const wire::Boundaries b = wire::decode_boundaries(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
+    wire::count_wire(booked, "dom", 0, 0, 0.0, timer.elapsed());
     BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
                      "post boxes from an impossible or duplicate rank");
     BNS_CHECK(b.step == step && b.post_migration,
@@ -723,15 +713,13 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
     active[static_cast<std::size_t>(b.src)] = b.count > 0;
     if (b.count > 0) boxes[static_cast<std::size_t>(b.src)] = b.box;
   }
-  const double exchange_wire = (dom_ws.encode_seconds + dom_ws.decode_seconds -
-                                dom_wire_pre) +
-                               part_ws.encode_seconds + part_ws.decode_seconds;
-  times.add("Exchange particles", std::max(0.0, exchange_timer.elapsed() - exchange_wire));
-  times.add("Wire encode", dom_ws.encode_seconds + part_ws.encode_seconds);
-  times.add("Wire decode", dom_ws.decode_seconds + part_ws.decode_seconds);
+  const double encode_s = codec_seconds("encode_s");
+  const double decode_s = codec_seconds("decode_s");
+  times.add("Exchange particles",
+            std::max(0.0, exchange_timer.elapsed() - (encode_s + decode_s - dom_wire_pre)));
+  times.add("Wire encode", encode_s);
+  times.add("Wire decode", decode_s);
   emit_phase("decomposition.migrate", phase_migrate_ns);
-  sr.dom_wire = dom_ws;
-  sr.part_wire = part_ws;
 
   // --- Build + LET exchange + gravity + integration: the exact same step
   // body as the in-process lanes and the hub workers.
@@ -839,15 +827,13 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
       // sr.parts stays empty: the particles never leave this worker.
     }
     sr.times = times;
-    sr.traffic = out.take();
+    metrics::merge(sr.metrics, out.take());
     if (cfg.trace) {
       // The step's spans ship just ahead of the StepResult. The overall step
       // span is emitted manually (its natural scope would outlive the drain),
       // then the whole buffer is drained — only this thread's: concurrent
-      // in-process workers must not steal each other's spans. The worker's
-      // own metric deltas ride along for the wire tests and per-rank tooling;
-      // the coordinator's bench metrics are rebuilt from the aggregated
-      // report, not from these.
+      // in-process workers must not steal each other's spans. The step's
+      // accounting does not ride here: it is in the StepResult's metrics.
       trace::RawSpan step_span;
       step_span.name = "worker.step";
       step_span.begin_ns = recv_ns;
@@ -862,21 +848,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
       tf.recv_ns = recv_ns;
       tf.clock_domain = trace::clock_domain();
       tf.spans = trace::Tracer::instance().drain_thread();
-      StepReport wr;
-      wr.step = sb.step;
-      wr.num_particles = sr.local_count;
-      wr.migrated = sr.migrated;
-      wr.let_cells = sr.let_cells;
-      wr.let_particles = sr.let_particles;
-      wr.local_stats = sr.local_stats;
-      wr.remote_stats = sr.remote_stats;
-      wr.let_wire = sr.let_wire;
-      wr.part_wire = sr.part_wire;
-      wr.dom_wire = sr.dom_wire;
-      wr.let_delta = sr.let_delta;
-      wr.let_sizes = sr.let_sizes;
-      wr.traffic = sr.traffic;
-      tf.metrics = build_step_metrics(wr);
       tf.send_ns = now_ns();
       // Like the collect reply, the sidecar bypasses the traffic recorder:
       // observability must not perturb the step's own traffic matrix.

@@ -38,8 +38,9 @@
 // star routes every worker↔worker frame through the coordinator; mesh gives
 // each worker pair its own TCP connection (rendezvous via the coordinator's
 // PeerDirectory) so LET/Boundaries/KeySamples/Migration frames never touch
-// the coordinator — its per-step routed-traffic matrix, folded into
-// StepReport::routed, must stay empty in a steady-state mesh run.
+// the coordinator — its per-step routed-traffic matrix, booked as the
+// report's transport.routed.* counters, must stay empty in a steady-state
+// mesh run.
 //
 // Both modes compute the same physics as the in-process Simulation: the same
 // decomposition arithmetic (shared via domain/decomposition.hpp helpers),
@@ -114,23 +115,25 @@ class ClusterSimulation {
   void broadcast_shutdown() noexcept;
   StepReport step_hub();
   StepReport step_spmd();
-  // Shared receive half of both step drivers: the next worker's decoded,
-  // deduplicated StepResult, with the mode-independent aggregates (wire
-  // volumes, LET statistics, traffic) already folded into `report`. Trace
-  // frames interleaved with the results are absorbed on the way: their spans
-  // are clock-shifted onto the coordinator's clock (post_ns holds the
-  // per-rank StepBegin post times of this step) and appended to `spans`.
-  wire::StepResult recv_step_result(TrafficRecordingTransport& rec, StepReport& report,
-                                    std::vector<std::uint8_t>& seen,
-                                    std::span<const std::int64_t> post_ns,
-                                    std::vector<trace::Span>& spans);
+  // Shared receive half of both step drivers: every worker's decoded,
+  // deduplicated StepResult, indexed by rank, with the mode-independent
+  // aggregates (LET and interaction statistics, the StepResult frames' wire
+  // and traffic rows, and the workers' metrics, merged in rank order) already
+  // folded into `report`. Trace frames interleaved with the results are
+  // absorbed on the way: their spans are clock-shifted onto the
+  // coordinator's clock (post_ns holds the per-rank StepBegin post times of
+  // this step) and appended to `spans`.
+  std::vector<wire::StepResult> recv_step_results(TrafficRecordingTransport& rec,
+                                                  StepReport& report,
+                                                  std::span<const std::int64_t> post_ns,
+                                                  std::vector<trace::Span>& spans);
 
   ClusterConfig cfg_;
   std::unique_ptr<SocketTransport> net_;
   // The coordinator-local alltoallv between its per-rank sets (hub mode and
   // the SPMD bootstrap split); migration frames here never need the sockets
   // because the coordinator owns all sets at that point. The recorder feeds
-  // the hub report's traffic matrix.
+  // the hub report's transport.post.* counters.
   std::unique_ptr<InProcTransport> migrate_net_;
   std::unique_ptr<TrafficRecordingTransport> migrate_rec_;
   std::vector<ParticleSet> sets_;

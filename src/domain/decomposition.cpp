@@ -173,10 +173,11 @@ void append_particles(ParticleSet& to, const ParticleSet& from) {
 
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
-                       wire::WireStats* wire_stats) {
+                       metrics::Snapshot* into) {
   BNS_CHECK(static_cast<int>(rank_parts.size()) == decomp.num_ranks());
   const auto nranks = static_cast<std::size_t>(decomp.num_ranks());
-  wire::WireStats ws;
+  metrics::Snapshot unbooked;
+  metrics::Snapshot& m = into ? *into : unbooked;
 
   // Counting pre-pass (the alltoallv handshake): compute each particle's key
   // and owner once, so destinations can reserve before any copy happens.
@@ -212,9 +213,7 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
       WallTimer timer;
       std::vector<std::uint8_t> frame =
           wire::encode_particles(static_cast<int>(r), batches[d], /*with_forces=*/false);
-      ws.encode_seconds += timer.elapsed();
-      ws.frames += 1;
-      ws.bytes += frame.size();
+      wire::count_wire(m, "part", 1, frame.size(), timer.elapsed(), 0.0);
       transport.post(static_cast<int>(r), static_cast<int>(d), std::move(frame));
     }
   }
@@ -232,7 +231,7 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
                        "particle endpoint closed before all expected batches");
       WallTimer timer;
       wire::ParticleBatch batch = wire::decode_particles(*frame);
-      ws.decode_seconds += timer.elapsed();
+      wire::count_wire(m, "part", 0, 0, 0.0, timer.elapsed());
       BNS_CHECK(batch.src >= 0 && batch.src < static_cast<int>(nranks) &&
                            batch.src != static_cast<int>(d),
                        "particle batch from an impossible source rank");
@@ -255,7 +254,6 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
   }
   for (const ParticleSet& in : incoming) stats.total += in.size();
   rank_parts.swap(incoming);
-  if (wire_stats) *wire_stats += ws;
   return stats;
 }
 

@@ -141,11 +141,11 @@ struct ExchangeStats {
 // populations and orderings are identical to the historical in-memory move.
 // Positions, velocities, masses and ids travel bit-for-bit, forces are reset
 // (they are recomputed each step), and each particle's `key` field is left
-// holding its freshly computed SFC key. Serialization cost/volume is
-// accumulated into `wire_stats` when given.
+// holding its freshly computed SFC key. Serialization cost/volume is booked
+// as wire.part.* counters into `*into` when given.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
-                       wire::WireStats* wire_stats = nullptr);
+                       metrics::Snapshot* into = nullptr);
 
 // Convenience overload routing through a scratch in-process transport.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,

@@ -1,8 +1,11 @@
 #include "domain/metrics.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace bonsai::metrics {
 
@@ -46,6 +49,21 @@ void write_escaped(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
+// Shortest round-trip form via to_chars, so the output neither depends on nor
+// disturbs the stream's precision and flags.
+template <typename T>
+void write_number(std::ostream& os, T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) {
+      os << "null";
+      return;
+    }
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, end - buf);
+}
+
 template <typename Map, typename WriteValue>
 void write_map(std::ostream& os, const Map& map, WriteValue write_value) {
   os << '{';
@@ -63,9 +81,7 @@ void write_map(std::ostream& os, const Map& map, WriteValue write_value) {
 }  // namespace
 
 void to_json(std::ostream& os, const Snapshot& snapshot) {
-  auto number = [&os](double v) {
-    if (std::isfinite(v)) os << v; else os << "null";
-  };
+  auto number = [&os](auto v) { write_number(os, v); };
   os << "{\"counters\":";
   write_map(os, snapshot.counters, number);
   os << ",\"gauges\":";
@@ -80,13 +96,28 @@ void to_json(std::ostream& os, const Snapshot& snapshot) {
     os << "],\"counts\":[";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       if (i) os << ',';
-      os << h.counts[i];
+      number(h.counts[i]);
     }
-    os << "],\"count\":" << h.count << ",\"sum\":";
+    os << "],\"count\":";
+    number(h.count);
+    os << ",\"sum\":";
     number(h.sum);
     os << '}';
   });
   os << '}';
+}
+
+std::string label_value(const std::string& name, const std::string& key) {
+  const std::size_t open = name.find('{');
+  if (open == std::string::npos) return {};
+  for (std::size_t at = open + 1; at < name.size();) {
+    const std::size_t end = std::min(name.find_first_of(",}", at), name.size());
+    const std::size_t eq = name.find('=', at);
+    if (eq < end && name.compare(at, eq - at, key) == 0)
+      return name.substr(eq + 1, end - eq - 1);
+    at = end + 1;
+  }
+  return {};
 }
 
 std::vector<double> pow2_bounds(int lo_exp, int hi_exp) {
@@ -106,15 +137,14 @@ void Registry::set_gauge(const std::string& name, double value) {
   data_.gauges[name] = value;
 }
 
-void Registry::observe(const std::string& name,
-                       const std::vector<double>& bounds, double value) {
-  std::lock_guard lock(mutex_);
-  auto it = data_.histograms.find(name);
-  if (it == data_.histograms.end()) {
+void observe(Snapshot& into, const std::string& name, const std::vector<double>& bounds,
+             double value) {
+  auto it = into.histograms.find(name);
+  if (it == into.histograms.end()) {
     HistogramData h;
     h.bounds = bounds;
     h.counts.assign(bounds.size() + 1, 0);
-    it = data_.histograms.emplace(name, std::move(h)).first;
+    it = into.histograms.emplace(name, std::move(h)).first;
   }
   HistogramData& h = it->second;
   std::size_t b = 0;
@@ -122,6 +152,12 @@ void Registry::observe(const std::string& name,
   ++h.counts[b];
   ++h.count;
   h.sum += value;
+}
+
+void Registry::observe(const std::string& name,
+                       const std::vector<double>& bounds, double value) {
+  std::lock_guard lock(mutex_);
+  metrics::observe(data_, name, bounds, value);
 }
 
 Snapshot Registry::snapshot() const {

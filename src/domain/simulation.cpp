@@ -1,7 +1,6 @@
 #include "domain/simulation.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -10,8 +9,6 @@
 
 #include "domain/channel.hpp"
 #include "util/check.hpp"
-#include "util/histogram.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace bonsai::domain {
@@ -44,54 +41,6 @@ GravityRates gravity_rates(const StepReport& report) {
   return {gflops_rate(flops, grav_sum), gflops_rate(flops, grav_max)};
 }
 
-// Per-imported-LET byte percentiles shared by the text report and the JSON.
-struct LetSizeSummary {
-  double min_bytes = 0.0, median_bytes = 0.0, max_bytes = 0.0;
-  double median_cells = 0.0, median_particles = 0.0;
-};
-
-LetSizeSummary summarize_let_sizes(std::span<const wire::LetSizeSample> sizes) {
-  LetSizeSummary s;
-  if (sizes.empty()) return s;
-  std::vector<double> bytes, cells, parts;
-  bytes.reserve(sizes.size());
-  for (const wire::LetSizeSample& l : sizes) {
-    bytes.push_back(static_cast<double>(l.bytes));
-    cells.push_back(static_cast<double>(l.cells));
-    parts.push_back(static_cast<double>(l.particles));
-  }
-  s.min_bytes = percentile(bytes, 0.0);
-  s.median_bytes = percentile(bytes, 0.5);
-  s.max_bytes = percentile(bytes, 1.0);
-  s.median_cells = percentile(cells, 0.5);
-  s.median_particles = percentile(parts, 0.5);
-  return s;
-}
-
-std::string human_bytes(double b);
-
-// One line per frame type present in the step's traffic matrix, aggregated
-// over peers; the per-(src,dst) cells go to the --bench JSON.
-void print_traffic_by_type(std::span<const wire::PeerTraffic> traffic, std::ostream& os,
-                           const char* label = "traffic by type") {
-  if (traffic.empty()) return;
-  std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>> by_type;
-  for (const wire::PeerTraffic& t : traffic) {
-    auto& cell = by_type[t.type];
-    cell.first += t.frames;
-    cell.second += t.bytes;
-  }
-  os << label << ":";
-  bool first = true;
-  for (const auto& [type, cell] : by_type) {
-    os << (first ? " " : " | ")
-       << wire::frame_type_name(static_cast<wire::FrameType>(type)) << " "
-       << cell.first << "fr " << human_bytes(static_cast<double>(cell.second));
-    first = false;
-  }
-  os << "\n";
-}
-
 std::string human_bytes(double b) {
   const char* const units[] = {"B", "KiB", "MiB", "GiB"};
   int u = 0;
@@ -102,28 +51,51 @@ std::string human_bytes(double b) {
   return TextTable::num(b, u == 0 ? 0 : 1) + units[u];
 }
 
-// Power-of-two histogram of per-imported-LET frame sizes — the data behind
-// the "remote gravity dominates" ROADMAP item: how much tree each rank pulls
-// in from its peers, and how skewed the pull is.
-void print_let_histogram(std::span<const wire::LetSizeSample> sizes, std::ostream& os) {
-  if (sizes.empty()) return;
-  const LetSizeSummary s = summarize_let_sizes(sizes);
-  os << "imported LETs: " << sizes.size() << " | bytes med " << human_bytes(s.median_bytes)
-     << " [min " << human_bytes(s.min_bytes) << ", max " << human_bytes(s.max_bytes)
-     << "] | cells med " << TextTable::num(s.median_cells, 0) << " | particles med "
-     << TextTable::num(s.median_particles, 0) << "\n";
+// A counter as the integer it counts, for printing.
+std::uint64_t whole(double counter) { return static_cast<std::uint64_t>(counter); }
 
-  const double lo = std::floor(std::log2(std::max(s.min_bytes, 1.0)));
-  const double hi = std::floor(std::log2(std::max(s.max_bytes, 1.0))) + 1.0;
-  Histogram1D h(lo, hi, static_cast<std::size_t>(hi - lo));
-  for (const wire::LetSizeSample& l : sizes)
-    h.add(std::log2(std::max(static_cast<double>(l.bytes), 1.0)));
+// One entry per frame type present among the <base>.frames{...,type=T} and
+// <base>.bytes{...,type=T} counters, summed over peers, in frame-table order
+// (the per-(src,dst) cells stay in the metrics block of the --bench JSON).
+void print_traffic_by_type(const metrics::Snapshot& m, const std::string& base,
+                           const char* label, std::ostream& os) {
+  const std::string frames = base + ".frames{", bytes = base + ".bytes{";
+  std::map<std::string, std::pair<double, double>> by_type;
+  for (const auto& [name, value] : m.counters) {
+    const bool is_frames = name.rfind(frames, 0) == 0;
+    if (!is_frames && name.rfind(bytes, 0) != 0) continue;
+    auto& cell = by_type[metrics::label_value(name, "type")];
+    (is_frames ? cell.first : cell.second) += value;
+  }
+  if (by_type.empty()) return;
+  os << label << ":";
+  const char* sep = " ";
+  for (const wire::FrameInfo& info : wire::frame_table()) {
+    const auto it = by_type.find(info.name);
+    if (it == by_type.end()) continue;
+    os << sep << info.name << " " << whole(it->second.first) << "fr "
+       << human_bytes(it->second.second);
+    sep = " | ";
+  }
+  os << "\n";
+}
+
+// The let.size.bytes histogram of imported LET frames — the data behind the
+// "remote gravity dominates" ROADMAP item: how much tree each rank pulls in
+// from its peers, and how skewed the pull is.
+void print_let_histogram(const metrics::Snapshot& m, std::ostream& os) {
+  const auto it = m.histograms.find("let.size.bytes");
+  if (it == m.histograms.end() || it->second.count == 0) return;
+  const metrics::HistogramData& h = it->second;
+  os << "imported LETs: " << h.count << " | bytes mean "
+     << human_bytes(h.sum / static_cast<double>(h.count)) << ", total " << human_bytes(h.sum)
+     << "\n";
   os << "LET size histogram:";
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    if (h.count(b) == 0.0) continue;
-    os << " [" << human_bytes(std::exp2(lo + static_cast<double>(b))) << ","
-       << human_bytes(std::exp2(lo + static_cast<double>(b) + 1.0)) << ") "
-       << static_cast<std::uint64_t>(h.count(b)) << " |";
+  for (std::size_t b = 0; b < h.counts.size(); ++b) {
+    if (h.counts[b] == 0) continue;
+    os << " (" << (b == 0 ? std::string("0B") : human_bytes(h.bounds[b - 1])) << ","
+       << (b < h.bounds.size() ? human_bytes(h.bounds[b]) : std::string("inf")) << "] "
+       << h.counts[b] << " |";
   }
   os << "\n";
 }
@@ -210,15 +182,17 @@ DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& 
     // in the wire rows instead of double-counting inside the exchange row.
     trace::ScopedSpan span("decomposition.exchange");
     WallTimer timer;
-    wire::WireStats ws;
-    const ExchangeStats ex = exchange(sets, du.space, du.decomp, transport, &ws);
+    metrics::Snapshot booked;
+    const ExchangeStats ex = exchange(sets, du.space, du.decomp, transport, &booked);
     report.migrated = ex.migrated;
     report.num_particles = ex.total;
-    report.part_wire += ws;
+    const double encode_s = booked.counter("wire.part.encode_s");
+    const double decode_s = booked.counter("wire.part.decode_s");
     driver_times.add("Exchange particles",
-                     std::max(0.0, timer.elapsed() - ws.encode_seconds - ws.decode_seconds));
-    driver_times.add("Wire encode", ws.encode_seconds);
-    driver_times.add("Wire decode", ws.decode_seconds);
+                     std::max(0.0, timer.elapsed() - encode_s - decode_s));
+    driver_times.add("Wire encode", encode_s);
+    driver_times.add("Wire decode", decode_s);
+    metrics::merge(report.metrics, booked);
   }
   return du;
 }
@@ -269,7 +243,6 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
         if (!active[src]) continue;
         if (!pending[src]) break;
         wire::LetMessage& m = *pending[src];
-        out.let_sizes.push_back({m.let.num_cells(), m.let.num_particles(), m.wire_bytes});
         trace::ScopedSpan span("gravity.remote", rank.id(), rank.id());
         span.set_peer(m.src);
         span.set_bytes(static_cast<std::int64_t>(m.wire_bytes));
@@ -293,8 +266,9 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
 
   if (cfg.dt != 0.0) rank.integrate(cfg.dt, times);
   if (lane) lane->integrate = times.get("Integration");
-  times.add("Wire encode", net.encode_stats(static_cast<int>(r)).encode_seconds);
-  times.add("Wire decode", net.decode_stats(static_cast<int>(r)).decode_seconds);
+  const metrics::Snapshot& booked = net.metrics(static_cast<int>(r));
+  times.add("Wire encode", booked.counter("wire.let.encode_s"));
+  times.add("Wire decode", booked.counter("wire.let.decode_s"));
   return out;
 }
 
@@ -350,13 +324,13 @@ StepReport Simulation::step() {
   }
 
   fold_stage_times(report, driver_times, rank_times);
-  report.traffic = transport_->take();
+  metrics::merge(report.metrics, transport_->take());
   report.elapsed = wall.elapsed();
   // Lane threads write their own ring buffers, so the in-process driver must
   // drain every thread (cluster drivers drain only their own: drain_thread).
   if (trace::Tracer::instance().enabled())
     report.spans = trace::Tracer::instance().drain_all();
-  report.metrics = build_step_metrics(report);
+  metrics::merge(report.metrics, build_step_metrics(report));
   return report;
 }
 
@@ -396,7 +370,6 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
 
   std::vector<std::uint64_t> let_cells(nranks, 0), let_parts(nranks, 0);
   std::vector<InteractionStats> local_stats(nranks), remote_stats(nranks);
-  std::vector<std::vector<wire::LetSizeSample>> sizes(nranks);
   std::vector<std::exception_ptr> errors(nranks);
 
   std::vector<std::future<void>> done;
@@ -442,7 +415,6 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
         let_parts[r] = out.let_particles;
         local_stats[r] = out.local_stats;
         remote_stats[r] = out.remote_stats;
-        sizes[r] = std::move(out.let_sizes);
       } catch (...) {
         errors[r] = std::current_exception();
         // Every lane must return before the driver can rethrow (it owns the
@@ -474,10 +446,7 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
     report.let_particles += let_parts[r];
     report.local_stats += local_stats[r];
     report.remote_stats += remote_stats[r];
-    report.let_wire += net.encode_stats(static_cast<int>(r));
-    report.let_wire.decode_seconds += net.decode_stats(static_cast<int>(r)).decode_seconds;
-    report.let_delta += net.delta_stats(static_cast<int>(r));
-    report.let_sizes.insert(report.let_sizes.end(), sizes[r].begin(), sizes[r].end());
+    metrics::merge(report.metrics, net.metrics(static_cast<int>(r)));
   }
 }
 
@@ -507,21 +476,17 @@ void Simulation::step_lockstep(StepReport& report, std::vector<TimeBreakdown>& r
   std::vector<LetTree> forests(nranks);
   for (std::size_t dst = 0; dst < nranks; ++dst) {
     std::vector<LetTree> imported;
-    while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(dst))) {
-      report.let_sizes.push_back(
-          {msg->let.num_cells(), msg->let.num_particles(), msg->wire_bytes});
+    while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(dst)))
       imported.push_back(std::move(msg->let));
-    }
     if (imported.empty()) continue;
     ScopedTimer t(rank_times[dst], "Exchange LET");
     forests[dst] = graft_lets(imported, cfg_.theta);
   }
   for (std::size_t r = 0; r < nranks; ++r) {
-    rank_times[r].add("Wire encode", net.encode_stats(static_cast<int>(r)).encode_seconds);
-    rank_times[r].add("Wire decode", net.decode_stats(static_cast<int>(r)).decode_seconds);
-    report.let_wire += net.encode_stats(static_cast<int>(r));
-    report.let_wire.decode_seconds += net.decode_stats(static_cast<int>(r)).decode_seconds;
-    report.let_delta += net.delta_stats(static_cast<int>(r));
+    const metrics::Snapshot& booked = net.metrics(static_cast<int>(r));
+    rank_times[r].add("Wire encode", booked.counter("wire.let.encode_s"));
+    rank_times[r].add("Wire decode", booked.counter("wire.let.decode_s"));
+    metrics::merge(report.metrics, booked);
   }
 
   for (std::size_t r = 0; r < nranks; ++r) {
@@ -653,29 +618,31 @@ void print_step_report(const StepReport& report, std::ostream& os) {
        << "% (useful/padded lanes)\n";
   }
 
-  os << "wire: LET " << human_bytes(static_cast<double>(report.let_wire.bytes)) << " in "
-     << report.let_wire.frames << " frame(s), enc "
-     << TextTable::num(report.let_wire.encode_seconds * 1e3) << " ms, dec "
-     << TextTable::num(report.let_wire.decode_seconds * 1e3) << " ms | particles "
-     << human_bytes(static_cast<double>(report.part_wire.bytes)) << " in "
-     << report.part_wire.frames << " frame(s), enc "
-     << TextTable::num(report.part_wire.encode_seconds * 1e3) << " ms, dec "
-     << TextTable::num(report.part_wire.decode_seconds * 1e3) << " ms";
-  if (report.dom_wire.frames > 0) {
-    os << " | domain " << human_bytes(static_cast<double>(report.dom_wire.bytes)) << " in "
-       << report.dom_wire.frames << " frame(s)";
-  }
+  const metrics::Snapshot& m = report.metrics;
+  const auto wire_class = [&](const char* label, const std::string& kind, bool codec) {
+    const std::string base = "wire." + kind;
+    os << label << human_bytes(m.counter(base + ".bytes")) << " in "
+       << whole(m.counter(base + ".frames")) << " frame(s)";
+    if (codec) {
+      os << ", enc " << TextTable::num(m.counter(base + ".encode_s") * 1e3) << " ms, dec "
+         << TextTable::num(m.counter(base + ".decode_s") * 1e3) << " ms";
+    }
+  };
+  wire_class("wire: LET ", "let", true);
+  wire_class(" | particles ", "part", true);
+  if (m.counter("wire.dom.frames") > 0) wire_class(" | domain ", "dom", false);
   os << "\n";
-  if (report.let_delta.full_frames + report.let_delta.delta_frames > 0) {
-    os << "let cache: " << report.let_delta.delta_frames << " delta + "
-       << report.let_delta.full_frames << " full frame(s), saved "
-       << human_bytes(static_cast<double>(report.let_delta.bytes_saved)) << ", "
-       << report.let_delta.cache_hits << " hit(s), " << report.let_delta.invalidations
-       << " invalidation(s)\n";
+  const double full = m.counter("let.delta.frames{kind=full}");
+  const double delta = m.counter("let.delta.frames{kind=delta}");
+  if (full + delta > 0) {
+    os << "let cache: " << whole(delta) << " delta + " << whole(full) << " full frame(s), saved "
+       << human_bytes(m.counter("let.delta.bytes_saved")) << ", "
+       << whole(m.counter("let.delta.cache_hits")) << " hit(s), "
+       << whole(m.counter("let.delta.invalidations")) << " invalidation(s)\n";
   }
-  print_traffic_by_type(report.traffic, os);
-  print_traffic_by_type(report.routed, os, "routed via coordinator");
-  print_let_histogram(report.let_sizes, os);
+  print_traffic_by_type(m, "transport.post", "traffic by type", os);
+  print_traffic_by_type(m, "transport.routed", "routed via coordinator", os);
+  print_let_histogram(m, os);
 
   if (report.async) {
     os << "pipeline: critical path " << TextTable::num(report.critical_path * 1e3)
@@ -687,25 +654,6 @@ void print_step_report(const StepReport& report, std::ostream& os) {
        << " ms sequential max-sum (Exchange LET + Gravity local + Gravity remote)\n";
   }
 }
-
-namespace {
-
-// Labeled metric name: base{src=S,dst=D,type=T} for one traffic-matrix cell.
-std::string traffic_label(const char* base, const wire::PeerTraffic& t) {
-  return std::string(base) + "{src=" + std::to_string(t.src) +
-         ",dst=" + std::to_string(t.dst) +
-         ",type=" + wire::frame_type_name(static_cast<wire::FrameType>(t.type)) + "}";
-}
-
-void fold_wire_stats(metrics::Snapshot& m, const char* kind, const wire::WireStats& ws) {
-  const std::string base = std::string("wire.") + kind;
-  m.counters[base + ".frames"] = static_cast<double>(ws.frames);
-  m.counters[base + ".bytes"] = static_cast<double>(ws.bytes);
-  m.counters[base + ".encode_s"] = ws.encode_seconds;
-  m.counters[base + ".decode_s"] = ws.decode_seconds;
-}
-
-}  // namespace
 
 metrics::Snapshot build_step_metrics(const StepReport& r) {
   metrics::Snapshot m;
@@ -738,27 +686,9 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
     h.sum = static_cast<double>(stats.p2p + stats.p2c);
     m.histograms["kernel.batch.interactions"] = std::move(h);
   }
-  fold_wire_stats(m, "let", r.let_wire);
-  fold_wire_stats(m, "part", r.part_wire);
-  fold_wire_stats(m, "dom", r.dom_wire);
-  if (r.let_delta.full_frames + r.let_delta.delta_frames > 0) {
-    m.counters["let.delta.frames{kind=full}"] =
-        static_cast<double>(r.let_delta.full_frames);
-    m.counters["let.delta.frames{kind=delta}"] =
-        static_cast<double>(r.let_delta.delta_frames);
-    m.counters["let.delta.bytes_saved"] = static_cast<double>(r.let_delta.bytes_saved);
-    m.counters["let.delta.cache_hits"] = static_cast<double>(r.let_delta.cache_hits);
-    m.counters["let.delta.invalidations"] =
-        static_cast<double>(r.let_delta.invalidations);
-  }
-  for (const wire::PeerTraffic& t : r.traffic) {
-    m.counters[traffic_label("transport.post.frames", t)] = static_cast<double>(t.frames);
-    m.counters[traffic_label("transport.post.bytes", t)] = static_cast<double>(t.bytes);
-  }
-  for (const wire::PeerTraffic& t : r.routed) {
-    m.counters[traffic_label("transport.routed.frames", t)] = static_cast<double>(t.frames);
-    m.counters[traffic_label("transport.routed.bytes", t)] = static_cast<double>(t.bytes);
-  }
+  // Zero rows, so every wire class reads the same whether or not it carried
+  // frames this step.
+  for (const char* kind : {"let", "part", "dom"}) wire::count_wire(m, kind, 0, 0, 0.0, 0.0);
   m.gauges["step.num_particles"] = static_cast<double>(r.num_particles);
   m.gauges["step.elapsed_s"] = r.elapsed;
   if (r.async) {
@@ -772,23 +702,6 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
     m.gauges["stage.max_s{stage=" + e.name + "}"] = e.seconds;
   for (const auto& e : r.sum_times.entries())
     m.gauges["stage.sum_s{stage=" + e.name + "}"] = e.seconds;
-  // Pow-2 LET frame-size buckets, 16 B .. 4 GiB (the print histogram's scheme
-  // with fixed bounds so snapshots merge across ranks and steps).
-  const std::vector<double> bounds = metrics::pow2_bounds(4, 32);
-  if (!r.let_sizes.empty()) {
-    metrics::HistogramData h;
-    h.bounds = bounds;
-    h.counts.assign(bounds.size() + 1, 0);
-    for (const wire::LetSizeSample& s : r.let_sizes) {
-      const auto v = static_cast<double>(s.bytes);
-      std::size_t b = 0;
-      while (b < h.bounds.size() && v > h.bounds[b]) ++b;
-      ++h.counts[b];
-      ++h.count;
-      h.sum += v;
-    }
-    m.histograms["let.size.bytes"] = std::move(h);
-  }
   return m;
 }
 
@@ -796,7 +709,7 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
                             std::ostream& os) {
   const auto flags = os.flags();
   const auto precision = os.precision(12);
-  os << "{\"schema\": 1,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 2,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
      << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
@@ -828,41 +741,6 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
        << ", \"fill_ratio\": " << stats.fill_ratio()
        << ", \"gflops_device\": " << rates.gflops_device
        << ", \"gflops_parallel\": " << rates.gflops_parallel
-       << ",\n   \"wire\": {\"let_bytes\": " << r.let_wire.bytes
-       << ", \"let_frames\": " << r.let_wire.frames
-       << ", \"let_encode_s\": " << r.let_wire.encode_seconds
-       << ", \"let_decode_s\": " << r.let_wire.decode_seconds
-       << ", \"part_bytes\": " << r.part_wire.bytes
-       << ", \"part_frames\": " << r.part_wire.frames
-       << ", \"part_encode_s\": " << r.part_wire.encode_seconds
-       << ", \"part_decode_s\": " << r.part_wire.decode_seconds
-       << ", \"dom_bytes\": " << r.dom_wire.bytes
-       << ", \"dom_frames\": " << r.dom_wire.frames
-       << ", \"dom_encode_s\": " << r.dom_wire.encode_seconds
-       << ", \"dom_decode_s\": " << r.dom_wire.decode_seconds
-       << ", \"let_full_frames\": " << r.let_delta.full_frames
-       << ", \"let_delta_frames\": " << r.let_delta.delta_frames
-       << ", \"let_delta_bytes_saved\": " << r.let_delta.bytes_saved
-       << ", \"let_cache_hits\": " << r.let_delta.cache_hits
-       << ", \"let_cache_invalidations\": " << r.let_delta.invalidations << "}";
-    const auto write_matrix = [&os](const char* key,
-                                    std::span<const wire::PeerTraffic> cells) {
-      os << ",\n   \"" << key << "\": [";
-      for (std::size_t t = 0; t < cells.size(); ++t) {
-        const wire::PeerTraffic& pt = cells[t];
-        os << (t == 0 ? "" : ", ") << "{\"src\": " << pt.src << ", \"dst\": " << pt.dst
-           << ", \"type\": \""
-           << wire::frame_type_name(static_cast<wire::FrameType>(pt.type))
-           << "\", \"frames\": " << pt.frames << ", \"bytes\": " << pt.bytes << '}';
-      }
-      os << "]";
-    };
-    write_matrix("traffic", r.traffic);
-    write_matrix("routed", r.routed);
-    const LetSizeSummary ls = summarize_let_sizes(r.let_sizes);
-    os << ",\n   \"let_size_bytes\": {\"count\": " << r.let_sizes.size()
-       << ", \"min\": " << ls.min_bytes << ", \"median\": " << ls.median_bytes
-       << ", \"max\": " << ls.max_bytes << "}"
        << ",\n   \"stages\": {";
     const auto& entries = r.max_times.entries();
     for (std::size_t e = 0; e < entries.size(); ++e) {

@@ -59,30 +59,6 @@ struct StepReport {
   TimeBreakdown sum_times;  // per-stage sum over ranks (device-seconds)
   double elapsed = 0.0;     // actual wall-clock of the whole step
 
-  // Serialization accounting: LET frames (summed over ranks), particle
-  // batches (migration cells plus the cluster StepBegin/StepResult frames
-  // that historically carried them), and the SPMD domain-control frames
-  // (Boundaries/KeySamples allgathers), plus the per-imported-LET size
-  // samples behind the step report's histogram.
-  wire::WireStats let_wire, part_wire, dom_wire;
-  std::vector<wire::LetSizeSample> let_sizes;
-
-  // Incremental LET exchange (--let-cache): full/delta frame counts, bytes a
-  // delta saved over the full frame it replaced, importer cache hits and
-  // resets, summed over ranks. All zero when the cache is off.
-  wire::LetDeltaStats let_delta;
-
-  // Per-(src, dst, frame type) send-side traffic matrix for the step, sorted
-  // by that key (kCoordinatorRank appears as -1). The measurable basis of
-  // hub-vs-SPMD traffic comparisons in CI.
-  std::vector<wire::PeerTraffic> traffic;
-
-  // Cluster runs only: the worker↔worker frames the *coordinator forwarded*
-  // this step, same shape as `traffic`. The star topology routes every peer
-  // frame here; a steady-state mesh step must leave it empty — the
-  // measurable basis of the star-vs-mesh comparison in CI.
-  std::vector<wire::PeerTraffic> routed;
-
   // Schedule model (async steps only; see schedule.hpp): the pipelined
   // critical path vs the lockstep stage-sum over the rank-concurrent stages,
   // and the same pair restricted to Exchange LET + Gravity local + remote.
@@ -91,9 +67,21 @@ struct StepReport {
   double gravity_critical = 0.0;
   double gravity_sequential = 0.0;
 
-  // The step's metrics-registry view of the aggregates above, built by
-  // build_step_metrics() once the report is final — identical numbers to the
-  // legacy wire/traffic/routed/let_sizes fields by construction.
+  // The step's accounting, the only source the printer, the --bench JSON and
+  // the job server read it from. Booked where it is measured:
+  //   wire.{let,part,dom}.{frames,bytes,encode_s,decode_s}  serialization:
+  //       LET frames, particle batches (migration cells plus the cluster
+  //       StepBegin/StepResult frames), SPMD domain frames (Boundaries /
+  //       KeySamples allgathers);
+  //   let.delta.*                      incremental LET exchange (--let-cache);
+  //   let.size.bytes                   histogram of imported LET frame sizes;
+  //   transport.post.{frames,bytes}{src,dst,type}    send-side traffic matrix
+  //       (kCoordinatorRank appears as -1);
+  //   transport.routed.{frames,bytes}{src,dst,type}  cluster runs only: the
+  //       worker↔worker frames the coordinator forwarded (a steady-state mesh
+  //       step leaves none).
+  // The driver adds the physics and derived rows from the fields above with
+  // build_step_metrics(). Cluster workers' rows arrive in their StepResults.
   metrics::Snapshot metrics;
 
   // Tracing runs only: every span recorded this step, already merged across
@@ -177,8 +165,8 @@ class Simulation {
   // All inter-rank traffic (LET frames, particle batches) flows through the
   // recorder wrapped around this byte transport; swapping the backend for a
   // socket/MPI one changes no pipeline code (the out-of-process driver in
-  // domain/cluster.hpp does exactly that). The recorder feeds the step
-  // report's per-peer traffic matrix.
+  // domain/cluster.hpp does exactly that). The recorder feeds the step's
+  // transport.post.* counters.
   std::unique_ptr<InProcTransport> inproc_;
   std::unique_ptr<TrafficRecordingTransport> transport_;
   Decomposition decomp_;
@@ -201,8 +189,8 @@ class Simulation {
 // cost-weighted by the previous step's gravity seconds per particle when
 // BalanceMode::kCost and a step has been timed — then migrate particles
 // through `transport`, recording counts, stage timings (serialization cost
-// broken out into the wire rows) and wire stats. Returns the domain update
-// so callers keep the bounds/space/partition.
+// broken out into the wire rows) and the wire.part.* counters. Returns the
+// domain update so callers keep the bounds/space/partition.
 DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& cfg,
                                std::span<const double> prev_gravity_seconds,
                                std::span<const std::size_t> prev_rank_size,
@@ -213,14 +201,13 @@ DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& 
 struct RankStepStats {
   std::uint64_t let_cells = 0, let_particles = 0;
   InteractionStats local_stats, remote_stats;
-  std::vector<wire::LetSizeSample> let_sizes;
 };
 
 // One rank's step body after tree build — the phase the in-process async
 // lanes and the socket workers must run identically for out-of-process runs
 // to reproduce in-process forces: round-robin LET exports starting at
 // self+1, local gravity, remote gravity per arrived LET, integration, and
-// the wire-stage accounting. `next_peer` advances past each successfully
+// the wire stage rows (the LET accounting itself stays in `net`). `next_peer` advances past each successfully
 // posted peer so a caller's failure path knows which posts are still owed.
 // `lane`, when given, records the timeline for the schedule model.
 RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
@@ -245,10 +232,10 @@ void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
 // the pipeline/overlap lines for async steps.
 void print_step_report(const StepReport& report, std::ostream& os);
 
-// Rebuild a report's aggregates as a metrics Snapshot (stable dotted names,
-// per-peer traffic as labeled counters, LET sizes as a pow-2 histogram). A
-// pure function of the final report, so the registry view can never drift
-// from the legacy fields. Every driver assigns the result to report.metrics.
+// The physics and derived rows of a final report: step.* counts and gauges,
+// gravity.* interaction counts, kernel.* batch statistics, stage.* times and
+// the schedule.* model, plus zero wire.{let,part,dom}.* rows so those always
+// exist. Every driver merges the result into report.metrics.
 metrics::Snapshot build_step_metrics(const StepReport& report);
 
 // Run-level metadata for the --bench JSON header, so trajectory tooling can
@@ -267,10 +254,10 @@ struct RunInfo {
   int wire_version = wire::kVersion;
 };
 
-// Emit reports as a JSON object {"schema": 1, "config": {...run metadata...},
+// Emit reports as a JSON object {"schema": 2, "config": {...run metadata...},
 // "steps": [...]} (the --bench trajectory format): per-stage max/sum seconds,
-// interaction counts, Gflop/s, the schedule model, and the metrics registry
-// block next to the legacy wire/traffic fields it subsumes.
+// interaction counts, Gflop/s, the schedule model, and the step's metrics
+// block, which carries all wire, traffic and LET-size accounting.
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,
                             std::ostream& os);
 

@@ -202,6 +202,25 @@ void InProcTransport::close(int dst) {
 
 // --- TrafficRecordingTransport ----------------------------------------------
 
+namespace {
+
+// A (src, dst, type) -> (frames, bytes) matrix as labeled counters
+// <base>.frames{src=S,dst=D,type=T} and <base>.bytes{...}.
+metrics::Snapshot traffic_counters(const std::string& base, const TrafficMatrix& cells) {
+  metrics::Snapshot out;
+  for (const auto& [key, cell] : cells) {
+    const std::string label =
+        "{src=" + std::to_string(std::get<0>(key)) + ",dst=" +
+        std::to_string(std::get<1>(key)) + ",type=" +
+        wire::frame_type_name(static_cast<wire::FrameType>(std::get<2>(key))) + "}";
+    out.counters[base + ".frames" + label] = static_cast<double>(cell.first);
+    out.counters[base + ".bytes" + label] = static_cast<double>(cell.second);
+  }
+  return out;
+}
+
+}  // namespace
+
 void TrafficRecordingTransport::post(int src, int dst, std::vector<std::uint8_t> frame) {
   // Locally produced frames always carry a full header, but stay defensive
   // for raw test payloads.
@@ -220,15 +239,11 @@ void TrafficRecordingTransport::record(int src, int dst, std::uint16_t type,
   cell.second += bytes;
 }
 
-std::vector<wire::PeerTraffic> TrafficRecordingTransport::take() {
+metrics::Snapshot TrafficRecordingTransport::take() {
   std::lock_guard lock(mutex_);
-  std::vector<wire::PeerTraffic> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, cell] : cells_)
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key), cell.first,
-                   cell.second});
+  metrics::Snapshot out = traffic_counters("transport.post", cells_);
   cells_.clear();
-  return out;  // map iteration order == (src, dst, type) order
+  return out;
 }
 
 // --- SocketTransport ---------------------------------------------------------
@@ -515,13 +530,9 @@ void SocketTransport::record_routed(int src, int dst, std::uint16_t type,
   cell.second += bytes;
 }
 
-std::vector<wire::PeerTraffic> SocketTransport::take_routed() {
+metrics::Snapshot SocketTransport::take_routed() {
   std::lock_guard lock(state_mutex_);
-  std::vector<wire::PeerTraffic> out;
-  out.reserve(routed_.size());
-  for (const auto& [key, cell] : routed_)
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key), cell.first,
-                   cell.second});
+  metrics::Snapshot out = traffic_counters("transport.routed", routed_);
   routed_.clear();
   return out;
 }

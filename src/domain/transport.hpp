@@ -41,12 +41,17 @@
 #include <vector>
 
 #include "domain/channel.hpp"
+#include "domain/metrics.hpp"
 #include "domain/wire.hpp"
 
 namespace bonsai::domain {
 
 // Destination id of the cluster coordinator (valid rank ids are >= 0).
 inline constexpr int kCoordinatorRank = -1;
+
+// A send-side traffic matrix: (src, dst, frame type) -> (frames, bytes).
+using TrafficMatrix =
+    std::map<std::tuple<int, int, std::uint16_t>, std::pair<std::uint64_t, std::uint64_t>>;
 
 class Transport {
  public:
@@ -88,7 +93,7 @@ class InProcTransport final : public Transport {
 
 // Send-side traffic accounting decorator: every post() is recorded into a
 // per-(src, dst, frame type) frames/bytes matrix — the data behind the step
-// report's traffic section — and forwarded to the inner transport. recv()
+// report's traffic line — and forwarded to the inner transport. recv()
 // and close() pass through untouched; counting sends only means summing the
 // matrix over endpoints never double-counts a frame. record() is public so a
 // driver can also account frames it *receives* from endpoints that run no
@@ -106,14 +111,14 @@ class TrafficRecordingTransport final : public Transport {
 
   void record(int src, int dst, std::uint16_t type, std::uint64_t bytes);
 
-  // Drain the accumulated matrix, sorted by (src, dst, type).
-  std::vector<wire::PeerTraffic> take();
+  // Drain the accumulated matrix as transport.post.frames{src=S,dst=D,type=T}
+  // and transport.post.bytes{...} counters (kCoordinatorRank prints as -1).
+  metrics::Snapshot take();
 
  private:
   Transport& inner_;
   std::mutex mutex_;
-  std::map<std::tuple<int, int, std::uint16_t>, std::pair<std::uint64_t, std::uint64_t>>
-      cells_;
+  TrafficMatrix cells_;
 };
 
 // How a SocketTransport cluster wires its worker↔worker traffic.
@@ -184,10 +189,11 @@ class SocketTransport final : public Transport {
   bool post_best_effort(int src, int dst, std::vector<std::uint8_t> frame) noexcept;
 
   // Coordinator only: drain the matrix of worker↔worker frames this process
-  // *forwarded* (src, dst, type, frames, bytes), sorted by key. The star
-  // topology routes all peer traffic here; in a steady-state mesh run the
-  // matrix must be empty — the measurable point of the topology.
-  std::vector<wire::PeerTraffic> take_routed();
+  // *forwarded*, as transport.routed.frames{src=S,dst=D,type=T} and
+  // transport.routed.bytes{...} counters. The star topology routes all peer
+  // traffic here; in a steady-state mesh run the matrix must be empty — the
+  // measurable point of the topology.
+  metrics::Snapshot take_routed();
 
  private:
   struct Peer;  // one connected socket + its writer mutex and reader thread
@@ -225,8 +231,7 @@ class SocketTransport final : public Transport {
   Channel<std::vector<std::uint8_t>> inbox_;
   mutable std::mutex state_mutex_;  // close_reason_, per-peer errors, routed_
   std::string close_reason_;
-  std::map<std::tuple<int, int, std::uint16_t>, std::pair<std::uint64_t, std::uint64_t>>
-      routed_;
+  TrafficMatrix routed_;
 };
 
 }  // namespace bonsai::domain

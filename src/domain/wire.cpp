@@ -400,26 +400,6 @@ void fields(Ar& ar, InteractionStats& s) {
 }
 
 template <class Ar>
-void fields(Ar& ar, WireStats& s) {
-  ar(s.frames, s.bytes, s.encode_seconds, s.decode_seconds);
-}
-
-template <class Ar>
-void fields(Ar& ar, LetDeltaStats& s) {
-  ar(s.full_frames, s.delta_frames, s.bytes_saved, s.cache_hits, s.invalidations);
-}
-
-template <class Ar>
-void fields(Ar& ar, LetSizeSample& s) {
-  ar(s.cells, s.particles, s.bytes);
-}
-
-template <class Ar>
-void fields(Ar& ar, PeerTraffic& t) {
-  ar(t.src, t.dst, t.type, t.frames, t.bytes);
-}
-
-template <class Ar>
 void fields(Ar& ar, TimeBreakdown::Entry& e) {
   ar(e.name, e.seconds);
 }
@@ -450,6 +430,11 @@ void fields(Ar& ar, metrics::HistogramData& h) {
   ar.resize(h.counts, std::size_t{n} + 1, min_size<std::uint64_t>(),
             "histogram bucket count exceeds payload");
   ar(h.counts, h.count, h.sum);
+  if constexpr (Ar::kDecoding) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : h.counts) total += c;
+    ar.require(total == h.count, "histogram buckets do not sum to its count");
+  }
 }
 
 template <class Ar>
@@ -534,10 +519,9 @@ template <class Ar>
 void fields(Ar& ar, StepResult& sr) {
   ar(sr.rank, sr.let_cells, sr.let_particles, sr.local_stats, sr.remote_stats, sr.migrated,
      sr.local_count, sr.kinetic, sr.potential, sr.times);
-  ar.sequence(sr.let_sizes, "LET size count exceeds payload");
-  ar(sr.let_wire, sr.part_wire, sr.dom_wire, sr.let_delta);
   ar.sequence(sr.boundaries, "boundary count exceeds payload");
-  ar.sequence(sr.traffic, "traffic count exceeds payload");
+  ar(sr.metrics);
+  ar.require(sr.metrics.gauges.empty(), "step-result metrics must not carry gauges");
   int src = sr.rank;
   particle_payload(ar, src, sr.parts, true, "step-result batch must carry forces");
 }
@@ -588,7 +572,6 @@ template <class Ar>
 void fields(Ar& ar, TraceFrame& tf) {
   ar(tf.src, tf.step, tf.recv_ns, tf.send_ns, tf.clock_domain);
   ar.sequence(tf.spans, "span count exceeds payload");
-  ar(tf.metrics);
 }
 
 template <class Ar>
@@ -740,20 +723,13 @@ const char* frame_type_name(FrameType type) {
 
 std::span<const FrameInfo> frame_table() { return kFrameInfo; }
 
-void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> add) {
-  const auto key = [](const PeerTraffic& t) { return std::tie(t.src, t.dst, t.type); };
-  for (const PeerTraffic& t : add) {
-    auto it = std::lower_bound(into.begin(), into.end(), t,
-                               [&](const PeerTraffic& a, const PeerTraffic& b) {
-                                 return key(a) < key(b);
-                               });
-    if (it != into.end() && key(*it) == key(t)) {
-      it->frames += t.frames;
-      it->bytes += t.bytes;
-    } else {
-      into.insert(it, t);
-    }
-  }
+void count_wire(metrics::Snapshot& into, std::string_view kind, std::uint64_t frames,
+                std::uint64_t bytes, double encode_seconds, double decode_seconds) {
+  const std::string base = "wire." + std::string(kind);
+  into.counters[base + ".frames"] += static_cast<double>(frames);
+  into.counters[base + ".bytes"] += static_cast<double>(bytes);
+  into.counters[base + ".encode_s"] += encode_seconds;
+  into.counters[base + ".decode_s"] += decode_seconds;
 }
 
 FrameType frame_type(std::span<const std::uint8_t> frame) {

@@ -26,6 +26,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "domain/let.hpp"
@@ -54,8 +55,11 @@ namespace bonsai::domain::wire {
 // selector of Config and JobSubmit to scalar (0) and simd (1): simd now
 // names the mixed-precision rsqrt drain, and the retired simd-float (2) is
 // rejected. It also adds the worker's clock domain to the Trace frame.
+// Version 9 replaces StepResult's typed wire/traffic/LET-size/delta fields
+// with the worker's metrics Snapshot (counters and histograms only) and drops
+// the metric deltas from the Trace frame.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 8;
+inline constexpr std::uint16_t kVersion = 9;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -72,7 +76,7 @@ enum class FrameType : std::uint16_t {
   kMigration = 10, // SPMD peer-to-peer: owner-changing particles (alltoallv cell)
   kPeerDirectory = 11,  // coordinator -> worker: every worker's mesh endpoint
   kPeerHello = 12,      // worker -> worker: dialing rank's id on a fresh mesh link
-  kTrace = 13,          // worker -> coordinator: step spans + metric deltas
+  kTrace = 13,          // worker -> coordinator: step spans + clock samples
   kJobSubmit = 14,      // client -> job server: job spec (+ optional explicit IC)
   kJobStatus = 15,      // client <-> job server: status request / description
   kJobResult = 16,      // job server -> client: terminal state + final particles
@@ -113,45 +117,12 @@ class WireError : public std::runtime_error {
 // buffer size) and return its type. Throws WireError on any mismatch.
 FrameType frame_type(std::span<const std::uint8_t> frame);
 
-// Serialization accounting: frames/bytes moved plus the seconds spent
-// encoding and decoding them, reported per step next to the compute stages.
-struct WireStats {
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-  double encode_seconds = 0.0;
-  double decode_seconds = 0.0;
-
-  WireStats& operator+=(const WireStats& o) {
-    frames += o.frames;
-    bytes += o.bytes;
-    encode_seconds += o.encode_seconds;
-    decode_seconds += o.decode_seconds;
-    return *this;
-  }
-};
-
-// Size record of one imported LET, feeding the step report's histogram.
-struct LetSizeSample {
-  std::uint64_t cells = 0;
-  std::uint64_t particles = 0;
-  std::uint64_t bytes = 0;
-};
-
-// One cell of the per-peer traffic matrix: frames/bytes posted from `src` to
-// `dst` of one frame type. Sent-side accounting only, so summing cells never
-// double-counts a frame; the step report and --bench JSON carry the matrix
-// to make hub-vs-SPMD traffic directly comparable.
-struct PeerTraffic {
-  int src = 0;
-  int dst = 0;
-  std::uint16_t type = 0;  // FrameType as its wire value
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-};
-
-// Merge `add` into `into`, summing cells with equal (src, dst, type) and
-// keeping the result sorted by that key.
-void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> add);
+// Books serialization accounting into `into` under traffic class `kind`
+// ("let", "part" or "dom"): wire.<kind>.frames / .bytes count encoded frames
+// put on the wire, wire.<kind>.encode_s / .decode_s the codec seconds. All
+// four rows are touched on every call, zeros included.
+void count_wire(metrics::Snapshot& into, std::string_view kind, std::uint64_t frames,
+                std::uint64_t bytes, double encode_seconds, double decode_seconds);
 
 // One LET in flight from rank `src`, carrying the sender-side extraction cost
 // so the schedule model can reconstruct when the message could have arrived,
@@ -190,28 +161,6 @@ struct LetCacheEntry {
   // so a divergence is caught at the seam instead of as silent drift in a
   // later delta. Throws CheckError on violation.
   void check_consistency() const;
-};
-
-// Per-rank accounting of the incremental exchange, carried through
-// StepResult and the step report. Exporter side: frames by kind and the
-// bytes a delta saved over the full encoding it replaced. Importer side:
-// deltas applied (cache_hits) and full frames that overwrote a valid cache
-// entry (invalidations — fallbacks after first contact).
-struct LetDeltaStats {
-  std::uint64_t full_frames = 0;
-  std::uint64_t delta_frames = 0;
-  std::uint64_t bytes_saved = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t invalidations = 0;
-
-  LetDeltaStats& operator+=(const LetDeltaStats& o) {
-    full_frames += o.full_frames;
-    delta_frames += o.delta_frames;
-    bytes_saved += o.bytes_saved;
-    cache_hits += o.cache_hits;
-    invalidations += o.invalidations;
-    return *this;
-  }
 };
 
 struct LetEncodeResult {
@@ -368,11 +317,16 @@ std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet&
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame);
 
 // A worker's step output: per-stage timings, interaction/LET statistics,
-// serialization accounting, the local population/energy summary, and — in
-// hub mode only — the particle state with forces (SPMD workers keep their
+// the local population/energy summary, the worker's step accounting, and —
+// in hub mode only — the particle state with forces (SPMD workers keep their
 // particles resident and ship an empty batch). `boundaries` carries the
 // Decomposition an SPMD worker computed so the coordinator can cross-check
-// that all workers derived the identical partition.
+// that all workers derived the identical partition. `metrics` holds what the
+// worker booked this step (wire.*, let.delta.*, transport.post.* counters and
+// the let.size.bytes histogram); the coordinator merges the workers'
+// Snapshots in rank order. It carries only additive counters and histograms:
+// a gauge, or a histogram whose buckets do not sum to its count, is a
+// WireError.
 struct StepResult {
   int rank = -1;
   std::uint64_t let_cells = 0;
@@ -383,11 +337,8 @@ struct StepResult {
   double kinetic = 0.0;           // local kinetic-energy partial sum
   double potential = 0.0;         // local potential-energy partial sum
   TimeBreakdown times;
-  std::vector<LetSizeSample> let_sizes;
-  WireStats let_wire, part_wire, dom_wire;
-  LetDeltaStats let_delta;  // incremental-exchange counters (zero when off)
   std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
-  std::vector<PeerTraffic> traffic;  // frames this worker posted, per peer/type
+  metrics::Snapshot metrics;
   ParticleSet parts;
 };
 
@@ -395,10 +346,10 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr);
 StepResult decode_step_result(std::span<const std::uint8_t> frame);
 
 // A worker's observability sidecar for one step, posted just before the
-// StepResult when tracing is on: the spans its driver thread recorded, its
-// metric deltas, and the two worker-local clock samples the coordinator needs
-// for the NTP-style offset estimate (recv_ns: StepBegin decoded, send_ns:
-// Trace frame encoded — both on the worker's steady clock).
+// StepResult when tracing is on: the spans its driver thread recorded and the
+// two worker-local clock samples the coordinator needs for the NTP-style
+// offset estimate (recv_ns: StepBegin decoded, send_ns: Trace frame encoded —
+// both on the worker's steady clock).
 struct TraceFrame {
   int src = -1;
   int step = 0;
@@ -406,7 +357,6 @@ struct TraceFrame {
   std::int64_t send_ns = 0;
   std::uint64_t clock_domain = 0;  // the worker's trace::clock_domain()
   std::vector<trace::Span> spans;
-  metrics::Snapshot metrics;
 };
 
 std::vector<std::uint8_t> encode_trace(const TraceFrame& tf);

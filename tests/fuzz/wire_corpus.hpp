@@ -134,9 +134,9 @@ inline std::vector<std::uint8_t> seed_frame(wire::FrameType type) {
       sr.local_count = 3;
       sr.kinetic = 0.5;
       sr.potential = -1.25;
-      sr.let_sizes = {{5, 9, 128}};
       sr.boundaries = {0, sfc::kKeyEnd / 2, sfc::kKeyEnd};
-      sr.traffic = {{0, 1, 1, 3, 512}};
+      sr.metrics.counters["transport.post.bytes{src=1,dst=0,type=Let}"] = 512.0;
+      sr.metrics.histograms["let.size.bytes"] = {{64.0, 128.0}, {0, 1, 0}, 1, 128.0};
       return wire::encode_step_result(sr);
     }
     case wire::FrameType::kShutdown: return wire::encode_shutdown();
@@ -155,9 +155,6 @@ inline std::vector<std::uint8_t> seed_frame(wire::FrameType type) {
       tf.recv_ns = 100;
       tf.send_ns = 250;
       tf.spans.push_back({"step.gravity", 110, 240, 1, 0, 2, -2, 64});
-      tf.metrics.counters["wire.frames"] = 3.0;
-      tf.metrics.gauges["pool.free"] = 1.0;
-      tf.metrics.histograms["batch"] = {{1.0, 2.0}, {0, 2, 1}, 3, 4.5};
       return wire::encode_trace(tf);
     }
     case wire::FrameType::kJobSubmit: {

@@ -147,12 +147,16 @@ TEST(LetExchange, AccountsWireBytesAndFrames) {
   domain::LetExchange net(transport, {1, 1});
   const std::size_t bytes = net.post(0, 1, {}, 0.0);
   EXPECT_GT(bytes, 0u);  // even an empty LET carries a frame header
-  EXPECT_EQ(net.encode_stats(0).frames, 1u);
-  EXPECT_EQ(net.encode_stats(0).bytes, bytes);
+  EXPECT_EQ(net.metrics(0).counter("wire.let.frames"), 1.0);
+  EXPECT_EQ(net.metrics(0).counter("wire.let.bytes"), static_cast<double>(bytes));
   const auto msg = net.recv(1);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->wire_bytes, bytes);
-  EXPECT_GE(net.decode_stats(1).decode_seconds, 0.0);
+  EXPECT_GE(net.metrics(1).counter("wire.let.decode_s"), 0.0);
+  // The importer books the frame's size into its LET size histogram.
+  const auto& sizes = net.metrics(1).histograms.at("let.size.bytes");
+  EXPECT_EQ(sizes.count, 1u);
+  EXPECT_EQ(sizes.sum, static_cast<double>(bytes));
 }
 
 TEST(ThreadsFor, DefaultPartitionsHostAcrossRanks) {

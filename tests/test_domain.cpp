@@ -28,6 +28,7 @@
 namespace bonsai {
 namespace {
 
+namespace metrics = bonsai::metrics;
 using domain::Decomposition;
 using domain::LetTree;
 using domain::SimConfig;
@@ -226,25 +227,31 @@ TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
   sim.init(make_plummer(900, 37));
   const domain::StepReport rep = sim.step();
 
-  ASSERT_FALSE(rep.traffic.empty());
-  std::uint64_t let_bytes = 0, let_frames = 0, part_bytes = 0;
-  for (const auto& t : rep.traffic) {
-    EXPECT_GT(t.frames, 0u);
-    if (t.type == static_cast<std::uint16_t>(domain::wire::FrameType::kLet)) {
-      let_bytes += t.bytes;
-      let_frames += t.frames;
-      EXPECT_NE(t.src, t.dst);  // no self-LETs
-    } else if (t.type == static_cast<std::uint16_t>(domain::wire::FrameType::kParticles)) {
-      part_bytes += t.bytes;
+  const metrics::Snapshot& m = rep.metrics;
+  double let_bytes = 0, let_frames = 0, part_bytes = 0;
+  std::size_t cells = 0;
+  for (const auto& [name, value] : m.counters) {
+    const bool is_frames = name.rfind("transport.post.frames{", 0) == 0;
+    if (!is_frames && name.rfind("transport.post.bytes{", 0) != 0) continue;
+    ++cells;
+    EXPECT_GT(value, 0.0) << name;
+    const std::string type = metrics::label_value(name, "type");
+    if (type == "Let") {
+      (is_frames ? let_frames : let_bytes) += value;
+      // no self-LETs
+      EXPECT_NE(metrics::label_value(name, "src"), metrics::label_value(name, "dst"));
+    } else if (type == "Particles") {
+      if (!is_frames) part_bytes += value;
     } else {
-      ADD_FAILURE() << "unexpected in-process frame type " << t.type;
+      ADD_FAILURE() << "unexpected in-process frame type " << type;
     }
   }
-  // Send-side accounting: the matrix and the wire summary rows are two views
-  // of the same posts, so their totals must agree exactly.
-  EXPECT_EQ(let_bytes, rep.let_wire.bytes);
-  EXPECT_EQ(let_frames, rep.let_wire.frames);
-  EXPECT_EQ(part_bytes, rep.part_wire.bytes);
+  ASSERT_GT(cells, 0u);
+  // Send-side accounting: the recorder's matrix and the codec's wire rows are
+  // two views of the same posts, so their totals must agree exactly.
+  EXPECT_EQ(let_bytes, m.counter("wire.let.bytes"));
+  EXPECT_EQ(let_frames, m.counter("wire.let.frames"));
+  EXPECT_EQ(part_bytes, m.counter("wire.part.bytes"));
 }
 
 TEST(Let, DistantDomainPrunesToSingleMultipole) {
@@ -541,7 +548,7 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"config\": {\"ranks\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"transport\": \"inproc\""), std::string::npos);
   EXPECT_NE(json.find("\"wire_version\": "), std::string::npos);
@@ -552,8 +559,18 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   EXPECT_NE(json.find("\"Gravity local\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\": {\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"wire.let.bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"let.size.bytes\""), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
+  // The accounting lives in the metrics block alone: no legacy blocks.
+  for (const char* legacy : {"\"wire\":", "\"traffic\":", "\"routed\":", "\"let_size_bytes\":"})
+    EXPECT_EQ(json.find(legacy), std::string::npos) << legacy;
+  // One "elapsed_s": per step — the key per-step trajectory tooling counts.
+  std::size_t elapsed_keys = 0;
+  for (std::size_t at = json.find("\"elapsed_s\": "); at != std::string::npos;
+       at = json.find("\"elapsed_s\": ", at + 1))
+    ++elapsed_keys;
+  EXPECT_EQ(elapsed_keys, reports.size());
 }
 
 TEST(Decomposition, WeightedSamplesShiftBoundariesTowardCheapRegions) {

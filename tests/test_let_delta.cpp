@@ -94,7 +94,7 @@ void expect_walkable(const LetTree& let) {
   }
 }
 
-TEST(LetDelta, WireVersionIsEight) { EXPECT_EQ(wire::kVersion, 8); }
+TEST(LetDelta, WireVersionIsNine) { EXPECT_EQ(wire::kVersion, 9); }
 
 TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   DriftingExporter source(512, 7);
@@ -281,17 +281,17 @@ TEST(LetDelta, ConfigCarriesLetCacheKnobs) {
 TEST(LetDelta, StepResultCarriesDeltaStats) {
   wire::StepResult sr;
   sr.rank = 1;
-  sr.let_delta.full_frames = 3;
-  sr.let_delta.delta_frames = 11;
-  sr.let_delta.bytes_saved = 123456789;
-  sr.let_delta.cache_hits = 7;
-  sr.let_delta.invalidations = 2;
+  sr.metrics.counters["let.delta.frames{kind=full}"] = 3;
+  sr.metrics.counters["let.delta.frames{kind=delta}"] = 11;
+  sr.metrics.counters["let.delta.bytes_saved"] = 123456789;
+  sr.metrics.counters["let.delta.cache_hits"] = 7;
+  sr.metrics.counters["let.delta.invalidations"] = 2;
   const wire::StepResult got = wire::decode_step_result(wire::encode_step_result(sr));
-  EXPECT_EQ(got.let_delta.full_frames, 3u);
-  EXPECT_EQ(got.let_delta.delta_frames, 11u);
-  EXPECT_EQ(got.let_delta.bytes_saved, 123456789u);
-  EXPECT_EQ(got.let_delta.cache_hits, 7u);
-  EXPECT_EQ(got.let_delta.invalidations, 2u);
+  EXPECT_EQ(got.metrics.counter("let.delta.frames{kind=full}"), 3.0);
+  EXPECT_EQ(got.metrics.counter("let.delta.frames{kind=delta}"), 11.0);
+  EXPECT_EQ(got.metrics.counter("let.delta.bytes_saved"), 123456789.0);
+  EXPECT_EQ(got.metrics.counter("let.delta.cache_hits"), 7.0);
+  EXPECT_EQ(got.metrics.counter("let.delta.invalidations"), 2.0);
 }
 
 // The end-to-end differential bar: a cached multi-rank run must reproduce
@@ -310,12 +310,16 @@ TEST(LetDelta, CachedSimulationMatchesUncachedBitForBit) {
     c.let_cache = cache_on;
     domain::Simulation sim(c);
     sim.init(initial);
-    wire::LetDeltaStats total;
-    for (int s = 0; s < 5; ++s) total += sim.step().let_delta;
+    double delta_frames = 0.0, full_frames = 0.0;
+    for (int s = 0; s < 5; ++s) {
+      const domain::StepReport rep = sim.step();
+      delta_frames += rep.metrics.counter("let.delta.frames{kind=delta}");
+      full_frames += rep.metrics.counter("let.delta.frames{kind=full}");
+    }
     if (cache_on) {
-      EXPECT_GT(total.delta_frames, 0u);
+      EXPECT_GT(delta_frames, 0.0);
     } else {
-      EXPECT_EQ(total.delta_frames + total.full_frames, 0u);
+      EXPECT_EQ(delta_frames + full_frames, 0.0);
     }
     return sim.gather();
   };

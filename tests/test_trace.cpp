@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -151,6 +153,16 @@ TEST(Metrics, Pow2BoundsSpanTheRequestedExponents) {
   EXPECT_EQ(b[3], 128.0);
 }
 
+TEST(Metrics, LabelValueReadsOneLabelOfAName) {
+  const std::string name = "transport.post.bytes{src=0,dst=-1,type=StepResult}";
+  EXPECT_EQ(metrics::label_value(name, "src"), "0");
+  EXPECT_EQ(metrics::label_value(name, "dst"), "-1");
+  EXPECT_EQ(metrics::label_value(name, "type"), "StepResult");
+  EXPECT_EQ(metrics::label_value(name, "ty"), "");  // whole keys only
+  EXPECT_EQ(metrics::label_value("wire.let.bytes", "type"), "");
+  EXPECT_EQ(metrics::label_value("let.delta.frames{kind=full}", "kind"), "full");
+}
+
 TEST(Metrics, MergeSumsCountersAndHistogramsGaugesTakeLatest) {
   metrics::Snapshot a, b;
   a.counters["c"] = 2.0;
@@ -174,6 +186,39 @@ TEST(Metrics, MergeSumsCountersAndHistogramsGaugesTakeLatest) {
   metrics::Snapshot bad;
   bad.histograms["h"] = {{1.0, 3.0}, {0, 0, 0}, 0, 0.0};
   EXPECT_THROW(metrics::merge(a, bad), std::runtime_error);
+}
+
+// The number after "<name>": in a metrics JSON object.
+double json_number(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name;
+  return at == std::string::npos ? -1.0 : std::strtod(json.c_str() + at + key.size(), nullptr);
+}
+
+TEST(Metrics, ToJsonNumbersParseBackExactlyWhateverTheStreamState) {
+  metrics::Snapshot snap;
+  snap.counters["wire.let.bytes"] = 123456789.0;
+  snap.gauges["step.elapsed_s"] = 0.1;
+  snap.gauges["schedule.critical_path_s"] = 0.0123456789;
+  snap.histograms["let.size.bytes"] = {{16.0, 32.0}, {0, 3, 0}, 3, 81.0};
+
+  std::ostringstream plain;  // default state: 6 significant digits
+  metrics::to_json(plain, snap);
+  EXPECT_EQ(json_number(plain.str(), "wire.let.bytes"), 123456789.0) << plain.str();
+  EXPECT_EQ(json_number(plain.str(), "step.elapsed_s"), 0.1);
+  EXPECT_EQ(json_number(plain.str(), "schedule.critical_path_s"), 0.0123456789);
+
+  // A caller's odd stream state neither leaks into the numbers nor is reset.
+  std::ostringstream odd;
+  odd.precision(2);
+  odd.setf(std::ios::fixed | std::ios::showpos);
+  odd.setf(std::ios::hex, std::ios::basefield);
+  const auto flags = odd.flags();
+  metrics::to_json(odd, snap);
+  EXPECT_EQ(odd.str(), plain.str());
+  EXPECT_EQ(odd.precision(), 2);
+  EXPECT_EQ(odd.flags(), flags);
 }
 
 TEST(Trace, ChromeJsonIsWellFormedAndEscaped) {
@@ -340,14 +385,19 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
   EXPECT_NE(std::find_if(rep.spans.begin(), rep.spans.end(),
                          [](const trace::Span& s) { return s.rank == -1; }),
             rep.spans.end());
-  // Metrics mirror the legacy aggregates exactly.
+  // The recorders' traffic matrix and the codecs' wire rows, booked at
+  // different layers and merged from every worker, account the same posts.
   ASSERT_FALSE(rep.metrics.counters.empty());
-  double posted = 0.0;
+  std::map<std::string, double> posted;  // by frame type
   for (const auto& [name, value] : rep.metrics.counters)
-    if (name.rfind("transport.post.bytes{", 0) == 0) posted += value;
-  double legacy = 0.0;
-  for (const auto& t : rep.traffic) legacy += static_cast<double>(t.bytes);
-  EXPECT_DOUBLE_EQ(posted, legacy);
+    if (name.rfind("transport.post.bytes{", 0) == 0)
+      posted[metrics::label_value(name, "type")] += value;
+  EXPECT_GT(posted["Let"], 0.0);
+  EXPECT_DOUBLE_EQ(posted["Let"] + posted["LetDelta"], rep.metrics.counter("wire.let.bytes"));
+  EXPECT_DOUBLE_EQ(posted["Boundaries"] + posted["KeySamples"],
+                   rep.metrics.counter("wire.dom.bytes"));
+  EXPECT_DOUBLE_EQ(posted["Migration"] + posted["StepBegin"] + posted["StepResult"],
+                   rep.metrics.counter("wire.part.bytes"));
 }
 
 }  // namespace

@@ -17,12 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "domain/metrics.hpp"
 #include "domain/transport.hpp"
 #include "domain/wire.hpp"
 
 namespace bonsai {
 namespace {
 
+namespace metrics = bonsai::metrics;
 namespace wire = domain::wire;
 
 constexpr int kRanks = 3;
@@ -225,17 +227,15 @@ TEST(TrafficRecordingTransport, RecordsPerPeerPerType) {
   rec.post(1, 0, wire::encode_shutdown());
   rec.record(1, -1, static_cast<std::uint16_t>(wire::FrameType::kStepResult), 64);
 
-  const std::vector<wire::PeerTraffic> t = rec.take();
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_EQ(t[0].src, 0);
-  EXPECT_EQ(t[0].dst, 1);
-  EXPECT_EQ(t[0].type, static_cast<std::uint16_t>(wire::FrameType::kHello));
-  EXPECT_EQ(t[0].frames, 2u);
-  EXPECT_EQ(t[0].bytes, 2 * wire::encode_hello(1).size());
-  EXPECT_EQ(t[1].src, 1);
-  EXPECT_EQ(t[1].dst, -1);
-  EXPECT_EQ(t[1].frames, 1u);
-  EXPECT_EQ(t[2].type, static_cast<std::uint16_t>(wire::FrameType::kShutdown));
+  const metrics::Snapshot t = rec.take();
+  ASSERT_EQ(t.counters.size(), 6u);  // frames + bytes of three cells
+  EXPECT_EQ(t.counter("transport.post.frames{src=0,dst=1,type=Hello}"), 2.0);
+  EXPECT_EQ(t.counter("transport.post.bytes{src=0,dst=1,type=Hello}"),
+            static_cast<double>(2 * wire::encode_hello(1).size()));
+  EXPECT_EQ(t.counter("transport.post.frames{src=1,dst=-1,type=StepResult}"), 1.0);
+  EXPECT_EQ(t.counter("transport.post.bytes{src=1,dst=-1,type=StepResult}"), 64.0);
+  EXPECT_EQ(t.counter("transport.post.frames{src=1,dst=0,type=Shutdown}"), 1.0);
+  EXPECT_TRUE(t.gauges.empty() && t.histograms.empty());
   EXPECT_TRUE(rec.take().empty());  // drained
 
   // Frames pass through unmodified.
@@ -257,13 +257,14 @@ TEST(SocketTransport, MeshKeepsPeerFramesOffTheCoordinator) {
         if (src != dst) h.at(src).post(src, dst, tagged(src));
     for (int dst = 0; dst < kRanks; ++dst)
       for (int k = 0; k + 1 < kRanks; ++k) ASSERT_TRUE(h.at(dst).recv(dst).has_value());
-    const std::vector<wire::PeerTraffic> routed = h.coordinator().take_routed();
+    const metrics::Snapshot routed = h.coordinator().take_routed();
     if (topology == domain::SocketTopology::kMesh) {
       EXPECT_TRUE(routed.empty());
     } else {
-      std::uint64_t frames = 0;
-      for (const wire::PeerTraffic& t : routed) frames += t.frames;
-      EXPECT_EQ(frames, static_cast<std::uint64_t>(kRanks * (kRanks - 1)));
+      double frames = 0.0;
+      for (const auto& [name, value] : routed.counters)
+        if (name.rfind("transport.routed.frames{", 0) == 0) frames += value;
+      EXPECT_EQ(frames, static_cast<double>(kRanks * (kRanks - 1)));
     }
   }
 }
@@ -374,18 +375,6 @@ TEST(SocketTransportMesh, PeerThatNeverDialsFailsTimedAndNamed) {
     EXPECT_NE(what.find("rank(s) 0"), std::string::npos) << what;
   }
   w1_mesh.join();
-}
-
-TEST(Wire, MergeTrafficSumsMatchingCells) {
-  std::vector<wire::PeerTraffic> into = {{0, 1, 1, 2, 100}, {1, 0, 2, 1, 50}};
-  const std::vector<wire::PeerTraffic> add = {{0, 1, 1, 3, 200}, {2, 0, 1, 1, 10}};
-  wire::merge_traffic(into, add);
-  ASSERT_EQ(into.size(), 3u);
-  EXPECT_EQ(into[0].frames, 5u);
-  EXPECT_EQ(into[0].bytes, 300u);
-  EXPECT_EQ(into[1].src, 1);
-  EXPECT_EQ(into[2].src, 2);
-  EXPECT_EQ(into[2].bytes, 10u);
 }
 
 }  // namespace

@@ -415,6 +415,21 @@ TEST(Wire, StepBeginModeRoundTripsAndRejectsUnknown) {
   EXPECT_THROW(wire::decode_step_begin(bad), wire::WireError);
 }
 
+// A step's worth of metrics: counters, a gauge and the LET size histogram.
+metrics::Snapshot make_snapshot() {
+  metrics::Snapshot m;
+  m.counters["gravity.remote.p2p"] = 12345.0;
+  m.counters["wire.let.bytes"] = 8192.0;
+  m.gauges["step.elapsed_s"] = 0.004;
+  metrics::HistogramData h;
+  h.bounds = {16.0, 32.0, 64.0};
+  h.counts = {1, 0, 2, 0};
+  h.count = 3;
+  h.sum = 150.0;
+  m.histograms["let.size.bytes"] = h;
+  return m;
+}
+
 TEST(Wire, StepResultCarriesSpmdAggregates) {
   wire::StepResult sr;
   sr.rank = 1;
@@ -422,24 +437,53 @@ TEST(Wire, StepResultCarriesSpmdAggregates) {
   sr.local_count = 512;
   sr.kinetic = 0.25;
   sr.potential = -0.5;
-  sr.part_wire = {6, 999, 0.5, 0.25};
-  sr.dom_wire = {12, 333, 0.125, 0.0625};
+  sr.metrics.counters["wire.part.frames"] = 6;
+  sr.metrics.counters["wire.part.bytes"] = 999;
+  sr.metrics.counters["wire.part.encode_s"] = 0.5;
+  sr.metrics.counters["wire.dom.frames"] = 12;
+  sr.metrics.counters["wire.dom.decode_s"] = 0.0625;
   sr.boundaries = {0, 1000, 2000, sfc::kKeyEnd};
-  sr.traffic = {{1, 0, 10, 2, 64}, {1, 2, 1, 3, 128}};
+  sr.metrics.counters["transport.post.frames{src=1,dst=-1,type=StepResult}"] = 2;
+  sr.metrics.counters["transport.post.bytes{src=1,dst=2,type=Let}"] = 128;
   const wire::StepResult back = wire::decode_step_result(wire::encode_step_result(sr));
   EXPECT_EQ(back.migrated, 42u);
   EXPECT_EQ(back.local_count, 512u);
   EXPECT_EQ(back.kinetic, 0.25);
   EXPECT_EQ(back.potential, -0.5);
-  EXPECT_EQ(back.part_wire.bytes, 999u);
-  EXPECT_EQ(back.dom_wire.frames, 12u);
+  EXPECT_EQ(back.metrics.counter("wire.part.bytes"), 999.0);
+  EXPECT_EQ(back.metrics.counter("wire.dom.frames"), 12.0);
   EXPECT_EQ(back.boundaries, sr.boundaries);
-  ASSERT_EQ(back.traffic.size(), 2u);
-  EXPECT_EQ(back.traffic[0].src, 1);
-  EXPECT_EQ(back.traffic[0].dst, 0);
-  EXPECT_EQ(back.traffic[0].type, 10);
-  EXPECT_EQ(back.traffic[1].bytes, 128u);
+  EXPECT_EQ(back.metrics.counters, sr.metrics.counters);
+  EXPECT_EQ(back.metrics.counter("transport.post.bytes{src=1,dst=2,type=Let}"), 128.0);
   EXPECT_EQ(back.parts.size(), 0u);  // SPMD results travel particle-free
+}
+
+TEST(Wire, StepResultRejectsMalformedMetrics) {
+  wire::StepResult sr;
+  sr.rank = 3;
+  sr.metrics = make_snapshot();
+  sr.metrics.gauges.clear();
+  const std::vector<std::uint8_t> frame = wire::encode_step_result(sr);
+  const wire::StepResult back = wire::decode_step_result(frame);
+  EXPECT_EQ(back.metrics.counters, sr.metrics.counters);
+  EXPECT_EQ(back.metrics.histograms.at("let.size.bytes").counts,
+            sr.metrics.histograms.at("let.size.bytes").counts);
+  EXPECT_EQ(back.metrics.histograms.at("let.size.bytes").sum, 150.0);
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(wire::decode_step_result(cut), wire::WireError) << "length " << len;
+  }
+
+  // Workers ship additive rows only: a gauge has no meaning once merged.
+  wire::StepResult gauged = sr;
+  gauged.metrics.gauges["step.elapsed_s"] = 0.5;
+  EXPECT_THROW(wire::decode_step_result(wire::encode_step_result(gauged)), wire::WireError);
+
+  // A histogram whose buckets do not add up to its count.
+  wire::StepResult skewed = sr;
+  skewed.metrics.histograms.at("let.size.bytes").count = 4;
+  EXPECT_THROW(wire::decode_step_result(wire::encode_step_result(skewed)), wire::WireError);
 }
 
 TEST(Wire, PayloadlessFramesRejectTrailingBytes) {
@@ -558,8 +602,8 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   sr.remote_stats = {30, 40};
   sr.times.add("Gravity local", 0.5);
   sr.times.add("Sorting SFC", 0.125);
-  sr.let_sizes.push_back({7, 8, 9});
-  sr.let_wire = {3, 4096, 0.25, 0.125};
+  metrics::observe(sr.metrics, "let.size.bytes", metrics::pow2_bounds(4, 32), 9.0);
+  wire::count_wire(sr.metrics, "let", 3, 4096, 0.25, 0.125);
   sr.parts = make_plummer(8, 1);
   const wire::StepResult rback = wire::decode_step_result(wire::encode_step_result(sr));
   EXPECT_EQ(rback.rank, 2);
@@ -574,9 +618,12 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   EXPECT_EQ(rback.remote_stats.pp_batches, 0u);
   EXPECT_DOUBLE_EQ(rback.times.get("Gravity local"), 0.5);
   EXPECT_EQ(rback.times.entries()[1].name, "Sorting SFC");
-  ASSERT_EQ(rback.let_sizes.size(), 1u);
-  EXPECT_EQ(rback.let_sizes[0].bytes, 9u);
-  EXPECT_EQ(rback.let_wire.bytes, 4096u);
+  const metrics::HistogramData& sizes = rback.metrics.histograms.at("let.size.bytes");
+  EXPECT_EQ(sizes.count, 1u);
+  EXPECT_EQ(sizes.counts[0], 1u);  // 9 B lands at or below the first bound
+  EXPECT_EQ(sizes.sum, 9.0);
+  EXPECT_EQ(rback.metrics.counter("wire.let.bytes"), 4096.0);
+  EXPECT_EQ(rback.metrics.counter("wire.let.decode_s"), 0.125);
   EXPECT_EQ(rback.parts.y, sr.parts.y);
 }
 
@@ -604,19 +651,10 @@ wire::TraceFrame make_trace_frame() {
   b.peer = 0;
   b.bytes = 4096;
   tf.spans = {a, b};
-  tf.metrics.counters["gravity.remote.p2p"] = 12345.0;
-  tf.metrics.counters["wire.let.bytes"] = 8192.0;
-  tf.metrics.gauges["step.elapsed_s"] = 0.004;
-  metrics::HistogramData h;
-  h.bounds = {16.0, 32.0, 64.0};
-  h.counts = {1, 0, 2, 0};
-  h.count = 3;
-  h.sum = 150.0;
-  tf.metrics.histograms["let.size.bytes"] = h;
   return tf;
 }
 
-TEST(Wire, TraceFrameRoundTripsSpansAndMetrics) {
+TEST(Wire, TraceFrameRoundTripsSpans) {
   const wire::TraceFrame tf = make_trace_frame();
   const std::vector<std::uint8_t> frame = wire::encode_trace(tf);
   EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kTrace);
@@ -633,13 +671,6 @@ TEST(Wire, TraceFrameRoundTripsSpansAndMetrics) {
   EXPECT_EQ(back.spans[1].name, "gravity.remote");
   EXPECT_EQ(back.spans[1].peer, 0);
   EXPECT_EQ(back.spans[1].bytes, 4096);
-  EXPECT_EQ(back.metrics.counters, tf.metrics.counters);
-  EXPECT_EQ(back.metrics.gauges.at("step.elapsed_s"), 0.004);
-  const metrics::HistogramData& h = back.metrics.histograms.at("let.size.bytes");
-  EXPECT_EQ(h.bounds, tf.metrics.histograms.at("let.size.bytes").bounds);
-  EXPECT_EQ(h.counts, tf.metrics.histograms.at("let.size.bytes").counts);
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_EQ(h.sum, 150.0);
 }
 
 TEST(Wire, TraceFrameRejectsTruncationAtEveryLength) {
@@ -654,8 +685,7 @@ TEST(Wire, TraceFrameRejectsTruncationAtEveryLength) {
 TEST(Wire, TraceFrameByteFlipsEitherDecodeOrThrow) {
   // Exhaustive single-byte corruption: decode must never crash, hang or read
   // out of bounds — it throws WireError or yields a structurally valid frame
-  // (spans never end before they begin, histogram counts stay sized to their
-  // bounds).
+  // (spans never end before they begin).
   const std::vector<std::uint8_t> frame = wire::encode_trace(make_trace_frame());
   for (std::size_t i = 0; i < frame.size(); ++i) {
     std::vector<std::uint8_t> bad = frame;
@@ -667,8 +697,6 @@ TEST(Wire, TraceFrameByteFlipsEitherDecodeOrThrow) {
         EXPECT_GE(s.end_ns, s.begin_ns);
         EXPECT_LE(s.name.size(), bad.size());
       }
-      for (const auto& [name, h] : tf.metrics.histograms)
-        EXPECT_EQ(h.counts.size(), h.bounds.size() + 1);
     } catch (const wire::WireError&) {
       // Rejected: fine.
     }
@@ -822,7 +850,7 @@ TEST(Wire, MetricsQueryAndReportRoundTrip) {
   EXPECT_EQ(wire::frame_type(wire::encode_metrics_query()),
             wire::FrameType::kMetricsQuery);
 
-  metrics::Snapshot snap = make_trace_frame().metrics;
+  metrics::Snapshot snap = make_snapshot();
   snap.counters["server.jobs.completed"] = 21.0;
   snap.gauges["job.num_particles{job=3}"] = 65536.0;
   const std::vector<std::uint8_t> frame = wire::encode_metrics_report(snap);
@@ -849,7 +877,7 @@ TEST(Wire, JobFramesRejectTruncationAtEveryLength) {
       wire::encode_job_result(res),
       wire::encode_job_cancel(2),
       wire::encode_snapshot(snap),
-      wire::encode_metrics_report(make_trace_frame().metrics),
+      wire::encode_metrics_report(make_snapshot()),
   };
   for (const auto& frame : frames) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
@@ -952,7 +980,7 @@ TEST(Wire, JobFramesByteFlipsEitherDecodeOrThrow) {
   }
   {
     const std::vector<std::uint8_t> frame =
-        wire::encode_metrics_report(make_trace_frame().metrics);
+        wire::encode_metrics_report(make_snapshot());
     for (std::size_t i = 0; i < frame.size(); ++i) {
       std::vector<std::uint8_t> bad = frame;
       bad[i] ^= 0xA5;
@@ -1016,16 +1044,18 @@ TEST(ExchangeOverTransport, AccountsWireTraffic) {
   const domain::Decomposition decomp = domain::Decomposition::uniform(2);
 
   domain::InProcTransport transport(2);
-  wire::WireStats ws;
+  metrics::Snapshot booked;
   const domain::ExchangeStats ex =
-      domain::exchange(sets, space, decomp, transport, &ws);
+      domain::exchange(sets, space, decomp, transport, &booked);
   EXPECT_EQ(ex.total, 256u);
   EXPECT_EQ(sets[0].size() + sets[1].size(), 256u);
-  EXPECT_EQ(ws.frames, 2u);  // one batch each way, even if one is empty
-  EXPECT_GT(ws.bytes, 0u);
+  // one batch each way, even if one is empty
+  EXPECT_EQ(booked.counter("wire.part.frames"), 2.0);
+  const auto bytes = static_cast<std::size_t>(booked.counter("wire.part.bytes"));
+  EXPECT_GT(bytes, 0u);
   // Migrated particles and only migrated particles travel on the wire.
   const std::size_t header_free =
-      ws.bytes - 2 * (wire::kHeaderBytes + 13);  // 13 = src + flags + count
+      bytes - 2 * (wire::kHeaderBytes + 13);  // 13 = src + flags + count
   EXPECT_EQ(header_free, ex.migrated * 72);  // 9 arrays x 8 bytes each
 }
 
