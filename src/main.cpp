@@ -387,7 +387,7 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.kernel = parse_kernel(cli);
     const std::string snapshot_in = cli.get("snapshot-in", "");
     if (!snapshot_in.empty())
-      spec.parts = serve::flatten_snapshot(serve::read_snapshot_file(snapshot_in));
+      spec.parts = serve::read_initial_condition(snapshot_in);
     const auto st = serve::submit_job(host, port, spec);
     if (st.state == wire::JobState::kRejected) {
       std::cout << "rejected: " << st.reason << "\n";
@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
 
     bonsai::ParticleSet initial;
     if (!snapshot_in.empty()) {
-      initial = bonsai::serve::flatten_snapshot(bonsai::serve::read_snapshot_file(snapshot_in));
+      initial = bonsai::serve::read_initial_condition(snapshot_in);
       n = initial.size();
       std::cout << "snapshot: read " << n << " particle(s) from " << snapshot_in << "\n";
     } else {

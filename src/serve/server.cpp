@@ -72,7 +72,7 @@ domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   cfg.eps = spec.eps;
   cfg.dt = spec.dt;
   cfg.kernel = spec.kernel;
-  cfg.async = false;
+  cfg.async = true;
   cfg.threads_per_rank = 1;
   cfg.balance = domain::BalanceMode::kCount;
   return cfg;
@@ -247,6 +247,7 @@ void JobServer::handle_client(FrameSocket sock) {
 }
 
 wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
+  const std::string non_finite = find_non_finite(spec.parts);  // scanned outside the lock
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t n = spec.parts.size() > 0 ? spec.parts.size() : spec.n;
 
@@ -257,6 +258,8 @@ wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
     rejected.reason = "server shutting down";
   } else if (n == 0) {
     rejected.reason = "empty job: n=0 and no initial particles";
+  } else if (!non_finite.empty()) {
+    rejected.reason = "non-finite initial condition: " + non_finite;
   } else {
     int resident_jobs = 0;
     std::uint64_t resident_particles = 0;
@@ -550,6 +553,7 @@ void JobServer::run_job(Job& job) {
 }
 
 void JobServer::write_job_bench(const Job& job) {
+  const domain::SimConfig cfg = job_sim_config(job.ranks, job.spec);
   domain::RunInfo info;
   info.ranks = job.ranks;
   info.num_particles = static_cast<std::size_t>(job.n_particles);
@@ -557,9 +561,9 @@ void JobServer::write_job_bench(const Job& job) {
   info.transport = "serve";
   info.topology = "none";
   info.cluster = "serve";
-  info.balance = "count";
-  info.kernel = kernel_backend_name(job.spec.kernel);
-  info.async = false;
+  info.balance = cfg.balance == domain::BalanceMode::kCost ? "cost" : "count";
+  info.kernel = kernel_backend_name(cfg.kernel);
+  info.async = cfg.async;
   const std::string path = cfg_.bench_dir + "/job-" + std::to_string(job.id) + ".json";
   std::ofstream out(path);
   if (!out) {

@@ -8,8 +8,10 @@
 //    limit) when the resident job count would exceed max_concurrent_jobs or
 //    the resident particle total would exceed max_resident_particles.
 //  * Rank-pool scheduler — the server owns `pool_slots` rank slots; each job
-//    runs an in-process lockstep Simulation on its assigned slice (1 thread
-//    per rank). Explicit `ranks` requests are honored (clamped to the pool);
+//    runs an in-process Simulation on its assigned slice with the async
+//    pipeline, one lane and one device thread per rank, so a job's ranks run
+//    concurrently and one slot is one core. Explicit `ranks` requests are
+//    honored (clamped to the pool);
 //    auto-sized jobs reuse the cost-balance machinery: every resident job
 //    weighs in with its particle count, apply_cost_floor() keeps small jobs
 //    from collapsing to zero, and the job's share of the pool is its share
@@ -18,9 +20,10 @@
 //  * Preemption — when the best waiting job cannot fit and a strictly
 //    lower-priority job is running, the victim is asked to suspend: at its
 //    next step boundary it checkpoints to a spool file (the wire Snapshot
-//    frame on disk) and releases its slots. Jobs run the lockstep schedule
-//    with count balancing, so a resumed job continues bit-for-bit — which is
-//    what lets the queue oversubscribe the pool safely.
+//    frame on disk) and releases its slots. A job's configuration replays
+//    bit-for-bit (see job_sim_config), so a resumed job continues exactly
+//    where it stopped — which is what lets the queue oversubscribe the pool
+//    safely.
 //  * Per-job isolation — every step's metrics land in the server registry
 //    under a {job=N} label, and each completed job can write its own
 //    --bench-shaped JSON (bench_dir/job-N.json). Nothing of one job appears
@@ -72,12 +75,13 @@ std::string with_job_label(std::string name, int job_id);
 // Label every metric in `m` with {job=N}.
 metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id);
 
-// The Simulation config a job runs with on `ranks` slots. Lockstep with one
-// thread per rank and count balancing is the deterministic schedule: a job
-// preempted to disk and restored into a fresh Simulation with this same
-// config continues bit-for-bit (async grafts remote forces in arrival order;
-// wider device pools change batch boundaries; cost cuts depend on
-// non-replayable timings).
+// The Simulation config a job runs with on `ranks` slots: the async
+// pipeline, one thread per rank (threads_for gives 1 on any host, so a slot
+// is one core) and count balancing. It is deterministic: async ranks walk
+// imported LETs in fixed source order, and count cuts depend only on the
+// particles, not on timings (cost cuts would), so a job preempted to disk and
+// restored into a fresh Simulation with this same config continues
+// bit-for-bit.
 domain::SimConfig job_sim_config(int ranks, const domain::wire::JobSpec& spec);
 
 // The resident server. Construction binds the listener and starts serving;

@@ -45,4 +45,12 @@ ParticleSet flatten_snapshot(const domain::wire::SnapshotMsg& snap) {
   return out;
 }
 
+ParticleSet read_initial_condition(const std::string& path) {
+  ParticleSet parts = flatten_snapshot(read_snapshot_file(path));
+  const std::string bad = find_non_finite(parts);
+  if (!bad.empty())
+    throw std::runtime_error("snapshot: " + path + ": non-finite initial condition: " + bad);
+  return parts;
+}
+
 }  // namespace bonsai::serve

@@ -27,4 +27,9 @@ domain::wire::SnapshotMsg read_snapshot_file(const std::string& path);
 // the same rank count; as an initial condition any rank count works.
 ParticleSet flatten_snapshot(const domain::wire::SnapshotMsg& snap);
 
+// A snapshot file as an initial condition (--snapshot-in): the flattened
+// particles of read_snapshot_file. Throws std::runtime_error naming the file,
+// the particle and the field when a position, velocity or mass is not finite.
+ParticleSet read_initial_condition(const std::string& path);
+
 }  // namespace bonsai::serve

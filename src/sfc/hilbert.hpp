@@ -5,8 +5,12 @@
 // curve's locality keeps each piece geometrically compact and guarantees that
 // sub-domain boundaries are branches of a hypothetical global octree.
 //
-// Implementation: Skilling's transpose algorithm ("Programming the Hilbert
-// curve", AIP Conf. Proc. 707, 2004), specialised for n = 3 dimensions.
+// The curve is Skilling's ("Programming the Hilbert curve", AIP Conf. Proc.
+// 707, 2004, n = 3 dimensions), evaluated as the finite-state machine his
+// per-level rules define: a table lookup maps a level's octant to its 3-bit
+// key digit and the curve's orientation below it (the encoder looks up two
+// levels at a time). The keys are bit-identical to his transpose algorithm
+// (tests/test_sfc.cpp keeps it as the reference).
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,27 @@
 #include "tree/particle.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <sstream>
+#include <utility>
 
 namespace bonsai {
+
+std::string find_non_finite(const ParticleSet& s) {
+  const std::pair<const char*, const std::vector<double>*> fields[] = {
+      {"x", &s.x},   {"y", &s.y},   {"z", &s.z},      {"vx", &s.vx},
+      {"vy", &s.vy}, {"vz", &s.vz}, {"mass", &s.mass},
+  };
+  for (std::size_t i = 0; i < s.size(); ++i)
+    for (const auto& [name, values] : fields)
+      if (!std::isfinite((*values)[i])) {
+        std::ostringstream os;
+        os << "particle " << i << " field " << name << " = " << (*values)[i];
+        return os.str();
+      }
+  return "";
+}
 
 std::vector<std::uint32_t> sort_by_keys(ParticleSet& parts, const sfc::KeySpace& space) {
   const std::size_t n = parts.size();

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sfc/keys.hpp"
@@ -153,6 +154,14 @@ class ParticleSet {
     v.swap(out);
   }
 };
+
+// The first position, velocity or mass of `s` that is NaN or infinite, as
+// "particle I field F = V", or "" when every input is finite. Forces,
+// potentials and keys are outputs and are not inspected. Particles that
+// come from outside the program (a submitted job's initial condition, a
+// snapshot file) pass this before they reach the key space, whose
+// float-to-grid conversion is undefined for a non-finite position.
+std::string find_non_finite(const ParticleSet& s);
 
 // Compute SFC keys for all particles and sort the set by key. Returns the
 // permutation applied (new index -> old index). This is the "Sorting SFC"

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -92,41 +94,78 @@ TEST(Listener, CloseFromAnotherThreadUnblocksAccept) {
 }
 
 TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
-  domain::SimConfig cfg;
-  cfg.nranks = 3;
-  cfg.async = false;
-  cfg.threads_per_rank = 1;
-  cfg.dt = 1e-3;
-  domain::Simulation sim(cfg);
-  sim.init(make_plummer(1024, 5));
-  sim.step();
-  sim.step();
+  // Two schedules: lockstep, and the async lanes every served job runs with.
+  domain::SimConfig lockstep;
+  lockstep.nranks = 3;
+  lockstep.async = false;
+  lockstep.threads_per_rank = 1;
+  lockstep.dt = 1e-3;
+  wire::JobSpec spec;
+  spec.dt = 1e-3;
+  const domain::SimConfig job = serve::job_sim_config(3, spec);
+  ASSERT_TRUE(job.async);
+  // One slot is one core: a job's rank gets one device thread on any host.
+  for (const std::size_t hw : {std::size_t{1}, std::size_t{3}, std::size_t{64},
+                               std::size_t{std::thread::hardware_concurrency()}})
+    EXPECT_EQ(domain::threads_for(job, hw), 1u) << "hardware threads " << hw;
 
-  wire::SnapshotMsg snap;
-  snap.job_id = 7;
-  snap.next_step = sim.next_step();
-  snap.sets = sim.checkpoint_sets();
+  for (const domain::SimConfig& cfg : {lockstep, job}) {
+    SCOPED_TRACE(cfg.async ? "async job config" : "lockstep");
+    domain::Simulation sim(cfg);
+    sim.init(make_plummer(1024, 5));
+    sim.step();
+    sim.step();
 
-  const std::string path = testing::TempDir() + "bonsai-ckpt-roundtrip.snap";
-  serve::write_snapshot_file(path, snap);
-  const wire::SnapshotMsg back = serve::read_snapshot_file(path);
-  EXPECT_EQ(back.job_id, 7);
-  EXPECT_EQ(back.next_step, 2);
-  ASSERT_EQ(back.sets.size(), 3u);
-  for (std::size_t r = 0; r < 3; ++r) {
-    expect_same_particles(back.sets[r], snap.sets[r]);
-    EXPECT_EQ(back.sets[r].key, snap.sets[r].key);
+    wire::SnapshotMsg snap;
+    snap.job_id = 7;
+    snap.next_step = sim.next_step();
+    snap.sets = sim.checkpoint_sets();
+
+    const std::string path = testing::TempDir() + "bonsai-ckpt-roundtrip.snap";
+    serve::write_snapshot_file(path, snap);
+    const wire::SnapshotMsg back = serve::read_snapshot_file(path);
+    EXPECT_EQ(back.job_id, 7);
+    EXPECT_EQ(back.next_step, 2);
+    ASSERT_EQ(back.sets.size(), 3u);
+    for (std::size_t r = 0; r < 3; ++r) {
+      expect_same_particles(back.sets[r], snap.sets[r]);
+      EXPECT_EQ(back.sets[r].key, snap.sets[r].key);
+    }
+
+    // Restoring the file into a fresh Simulation continues bit-for-bit with
+    // the original (same config, 1 thread per rank, count balance).
+    domain::Simulation restored(cfg);
+    restored.restore(back.sets, back.next_step);
+    sim.step();
+    restored.step();
+    expect_same_particles(restored.gather(), sim.gather());
+
+    EXPECT_THROW(serve::read_snapshot_file(path + ".missing"), std::runtime_error);
   }
+}
 
-  // Restoring the file into a fresh Simulation continues bit-for-bit with
-  // the original (same config, lockstep/1-thread/count).
-  domain::Simulation restored(cfg);
-  restored.restore(back.sets, back.next_step);
-  sim.step();
-  restored.step();
-  expect_same_particles(restored.gather(), sim.gather());
+TEST(Snapshot, InitialConditionRejectsNonFiniteParticles) {
+  wire::SnapshotMsg snap;
+  snap.sets = {make_plummer(10, 1), make_plummer(6, 2)};
+  const std::string path = testing::TempDir() + "bonsai-ic-non-finite.snap";
+  serve::write_snapshot_file(path, snap);
+  EXPECT_EQ(serve::read_initial_condition(path).size(), 16u);
 
-  EXPECT_THROW(serve::read_snapshot_file(path + ".missing"), std::runtime_error);
+  // Forces are outputs: a non-finite one is not an input error.
+  snap.sets[0].ax[2] = std::numeric_limits<double>::quiet_NaN();
+  serve::write_snapshot_file(path, snap);
+  EXPECT_EQ(serve::read_initial_condition(path).size(), 16u);
+
+  snap.sets[1].mass[3] = std::numeric_limits<double>::infinity();
+  serve::write_snapshot_file(path, snap);
+  try {
+    serve::read_initial_condition(path);
+    ADD_FAILURE() << "an infinite mass was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("particle 13 field mass = inf"), std::string::npos) << what;
+  }
 }
 
 TEST(Snapshot, FlattenConcatenatesRankSetsInOrder) {
@@ -188,6 +227,37 @@ TEST(Serve, ServerRunsTwoJobsConcurrently) {
   EXPECT_EQ(r1.parts.size(), 2048u);
   EXPECT_EQ(r2.parts.size(), 2048u);
   EXPECT_LT(r1.potential, 0.0);
+}
+
+TEST(Serve, SubmitRejectsNonFiniteInitialParticles) {
+  ServerConfig cfg = test_server_config("non-finite");
+  cfg.limits.pool_slots = 2;
+  JobServer server(cfg);
+
+  wire::JobSpec spec = small_job(0, 1);
+  spec.ranks = 2;
+  spec.parts = make_plummer(2048, 3);
+  spec.parts.x[17] = std::numeric_limits<double>::quiet_NaN();
+  const auto rej = serve::submit_job(kHost, server.port(), spec);
+  EXPECT_EQ(rej.state, wire::JobState::kRejected);
+  EXPECT_NE(rej.reason.find("particle 17 field x = nan"), std::string::npos) << rej.reason;
+
+  spec.parts.x[17] = 0.5;
+  spec.parts.vz[2047] = -std::numeric_limits<double>::infinity();
+  const auto rej2 = serve::submit_job(kHost, server.port(), spec);
+  EXPECT_EQ(rej2.state, wire::JobState::kRejected);
+  EXPECT_NE(rej2.reason.find("particle 2047 field vz = -inf"), std::string::npos)
+      << rej2.reason;
+
+  // The same particles, all finite, run to completion with finite forces.
+  spec.parts.vz[2047] = 0.0;
+  const auto ok = serve::submit_job(kHost, server.port(), spec);
+  ASSERT_NE(ok.state, wire::JobState::kRejected) << ok.reason;
+  const auto res = serve::wait_job(kHost, server.port(), ok.job_id);
+  ASSERT_EQ(res.state, wire::JobState::kCompleted) << res.reason;
+  for (std::size_t i = 0; i < res.parts.size(); ++i)
+    ASSERT_TRUE(std::isfinite(res.parts.ax[i]) && std::isfinite(res.parts.pot[i])) << i;
+  EXPECT_EQ(serve::fetch_metrics(kHost, server.port()).counters.at("server.jobs.rejected"), 2.0);
 }
 
 TEST(Serve, AdmissionRejectsNamingTheViolatedLimit) {

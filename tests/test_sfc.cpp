@@ -6,10 +6,14 @@
 //      octree cell iff their keys share the top 3L bits;
 //   3. the Hilbert curve is continuous: consecutive keys map to
 //      grid-adjacent cells (this is what gives domains compact shapes).
+// The table-driven Hilbert encoder is also checked bit for bit against
+// Skilling's transpose algorithm, kept here as the reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "sfc/hilbert.hpp"
 #include "sfc/keys.hpp"
@@ -18,6 +22,76 @@
 
 namespace bonsai::sfc {
 namespace {
+
+// Skilling, "Programming the Hilbert curve" (AIP Conf. Proc. 707, 2004),
+// for n = 3 dimensions and kMaxLevel bits: the reference the production
+// encoder must reproduce. X[i] holds every third bit of the key ("transpose"
+// form); key bit (3b + 2 - i) is bit b of X[i].
+namespace skilling {
+
+constexpr int kBits = kMaxLevel;
+constexpr int kDims = 3;
+
+void axes_to_transpose(std::uint32_t X[kDims]) {
+  std::uint32_t P, Q, t;
+  for (Q = 1u << (kBits - 1); Q > 1; Q >>= 1) {  // undo excess work
+    P = Q - 1;
+    for (int i = 0; i < kDims; ++i) {
+      if (X[i] & Q) {
+        X[0] ^= P;  // invert low bits of X[0]
+      } else {
+        t = (X[0] ^ X[i]) & P;  // exchange low bits of X[i] and X[0]
+        X[0] ^= t;
+        X[i] ^= t;
+      }
+    }
+  }
+  for (int i = 1; i < kDims; ++i) X[i] ^= X[i - 1];  // Gray encode
+  t = 0;
+  for (Q = 1u << (kBits - 1); Q > 1; Q >>= 1)
+    if (X[kDims - 1] & Q) t ^= Q - 1;
+  for (int i = 0; i < kDims; ++i) X[i] ^= t;
+}
+
+void transpose_to_axes(std::uint32_t X[kDims]) {
+  std::uint32_t P, Q, t;
+  t = X[kDims - 1] >> 1;  // Gray decode by H ^ (H/2)
+  for (int i = kDims - 1; i > 0; --i) X[i] ^= X[i - 1];
+  X[0] ^= t;
+  for (Q = 2; Q != (1u << kBits); Q <<= 1) {  // undo excess work
+    P = Q - 1;
+    for (int i = kDims - 1; i >= 0; --i) {
+      if (X[i] & Q) {
+        X[0] ^= P;
+      } else {
+        t = (X[0] ^ X[i]) & P;
+        X[0] ^= t;
+        X[i] ^= t;
+      }
+    }
+  }
+}
+
+std::uint64_t encode(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  std::uint32_t X[kDims] = {x & (kCoordRange - 1), y & (kCoordRange - 1),
+                            z & (kCoordRange - 1)};
+  axes_to_transpose(X);
+  std::uint64_t key = 0;
+  for (int b = kBits - 1; b >= 0; --b)
+    for (int i = 0; i < kDims; ++i) key = (key << 1) | ((X[i] >> b) & 1u);
+  return key;
+}
+
+Coords decode(std::uint64_t key) {
+  std::uint32_t X[kDims] = {0, 0, 0};
+  for (int b = kBits - 1; b >= 0; --b)
+    for (int i = 0; i < kDims; ++i)
+      X[i] = (X[i] << 1) | static_cast<std::uint32_t>((key >> (3 * b + 2 - i)) & 1u);
+  transpose_to_axes(X);
+  return {X[0], X[1], X[2]};
+}
+
+}  // namespace skilling
 
 TEST(Morton, KnownValues) {
   EXPECT_EQ(morton_encode(0, 0, 0), 0u);
@@ -58,6 +132,39 @@ TEST(Hilbert, RoundTripRandom) {
     ASSERT_EQ(c.x, x);
     ASSERT_EQ(c.y, y);
     ASSERT_EQ(c.z, z);
+  }
+}
+
+TEST(Hilbert, MatchesSkillingReferenceBitForBit) {
+  const auto expect_same = [](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+    const std::uint64_t key = hilbert_encode(x, y, z);
+    ASSERT_EQ(key, skilling::encode(x, y, z)) << "encode(" << x << ", " << y << ", " << z << ")";
+    ASSERT_EQ(hilbert_decode(key), skilling::decode(key)) << "decode(" << key << ")";
+  };
+  Xoshiro256 rng(47);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const auto x = static_cast<std::uint32_t>(rng() % kCoordRange);
+    const auto y = static_cast<std::uint32_t>(rng() % kCoordRange);
+    const auto z = static_cast<std::uint32_t>(rng() % kCoordRange);
+    ASSERT_NO_FATAL_FAILURE(expect_same(x, y, z));
+  }
+
+  // Corners and edges of the grid and of every octree level: 2^k - 1, 2^k,
+  // 2^k + 1, the top coordinate and alternating-bit patterns, in every
+  // combination over the three axes.
+  std::vector<std::uint32_t> edges = {kCoordRange - 1, kCoordRange - 2, 0x155555u, 0x0aaaaau};
+  for (int k = 0; k < kMaxLevel; ++k)
+    for (const std::uint32_t v : {(1u << k) - 1, 1u << k, (1u << k) + 1}) edges.push_back(v);
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  for (const std::uint32_t x : edges)
+    for (const std::uint32_t y : edges)
+      for (const std::uint32_t z : edges) ASSERT_NO_FATAL_FAILURE(expect_same(x, y, z));
+
+  // Decode also at the ends of the key range.
+  for (std::uint64_t k = 0; k < 4096; ++k) {
+    ASSERT_EQ(hilbert_decode(k), skilling::decode(k)) << k;
+    ASSERT_EQ(hilbert_decode(kKeyEnd - 1 - k), skilling::decode(kKeyEnd - 1 - k)) << k;
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "util/cli.hpp"
 #include "util/flops.hpp"
-#include "util/histogram.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -133,31 +132,6 @@ TEST(ScopedTimer, RecordsNonNegativeTime) {
     (void)sink;
   }
   EXPECT_GE(bd.get("scope"), 0.0);
-}
-
-TEST(Histogram1D, BinningAndPeak) {
-  Histogram1D h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(5.6);
-  h.add(9.999);
-  h.add(10.0);   // out of range: dropped
-  h.add(-0.01);  // out of range: dropped
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.count(5), 2.0);
-  EXPECT_EQ(h.peak_bin(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-}
-
-TEST(Histogram2D, BinningAndWeights) {
-  Histogram2D h(0.0, 4.0, 4, 0.0, 2.0, 2);
-  h.add(0.1, 0.1, 2.0);
-  h.add(3.9, 1.9);
-  h.add(4.0, 1.0);  // dropped
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
-  EXPECT_DOUBLE_EQ(h.count(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(3, 1), 1.0);
-  EXPECT_DOUBLE_EQ(h.max_count(), 2.0);
 }
 
 TEST(RunningStats, KnownSequence) {
