@@ -5,6 +5,7 @@
 #include <mutex>
 #include <numeric>
 
+#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai {
@@ -66,20 +67,34 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
   trace::ScopedSpan span("gravity.eval", trace_rank_);
 
   // Each group writes a disjoint particle range, so workers need no locking
-  // on the outputs; stats merge under a mutex at the end of each chunk. Each
-  // pool thread keeps one staging queue alive across groups (and calls) so
-  // the SoA buffers are allocated once per thread, not once per group.
+  // on the outputs; stats and the walk/drain split merge under a mutex after
+  // each group. Each pool thread keeps one staging queue alive across groups
+  // (and calls) so the SoA buffers are allocated once per thread, not once
+  // per group.
   std::mutex stats_mutex;
   InteractionStats total;
   pool_->parallel_for(groups.size(), [&](std::size_t g) {
     thread_local InteractionQueue queue;
+    const std::int64_t drained_before = queue.drain_ns();
+    const std::int64_t start = now_ns();
     const InteractionStats s =
         traverse_one_group_batched(src, targets, groups[g], config, self, queue);
+    const std::int64_t elapsed = now_ns() - start;
+    const std::int64_t drained = queue.drain_ns() - drained_before;
     std::lock_guard lock(stats_mutex);
     total += s;
+    walk_ns_ += elapsed - drained;
+    drain_ns_ += drained;
   });
   span.set_bytes(static_cast<std::uint64_t>(total.p2p + total.p2c));
   return total;
+}
+
+GravitySplit Device::take_gravity_split() {
+  const GravitySplit split{static_cast<double>(walk_ns_) * 1e-9,
+                           static_cast<double>(drain_ns_) * 1e-9};
+  walk_ns_ = drain_ns_ = 0;
+  return split;
 }
 
 }  // namespace bonsai

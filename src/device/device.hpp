@@ -27,6 +27,14 @@ namespace bonsai {
 // Threads per warp on the hardware the paper targets (footnote 4).
 inline constexpr int kWarpSize = 32;
 
+// Where compute_forces spent its device-seconds: walking the tree and staging
+// interaction lists, versus draining the staged batches through the kernel.
+// Summed over every pool thread, so both are device-seconds, not wall time.
+struct GravitySplit {
+  double walk_s = 0.0;
+  double drain_s = 0.0;
+};
+
 class Device {
  public:
   // `num_threads == 0` uses all hardware threads.
@@ -61,6 +69,11 @@ class Device {
                                   std::span<const TargetGroup> groups,
                                   const TraversalConfig& config, bool self);
 
+  // The walk/drain split accumulated by compute_forces since the last call,
+  // and reset. Each pool thread samples the clock twice per group walk and
+  // the queue twice per drain.
+  GravitySplit take_gravity_split();
+
   // Generic data-parallel loop (integration, diagnostics, key generation).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     pool_->parallel_for(n, fn);
@@ -69,6 +82,7 @@ class Device {
  private:
   std::unique_ptr<ThreadPool> pool_;
   int trace_rank_ = -1;
+  std::int64_t walk_ns_ = 0, drain_ns_ = 0;
 };
 
 }  // namespace bonsai

@@ -120,6 +120,7 @@ void fill_energy(const ParticleSet& parts, wire::StepResult& sr) {
 ClusterSimulation::ClusterSimulation(const ClusterConfig& cfg) : cfg_(cfg) {
   BNS_CHECK(cfg_.sim.nranks >= 1);
   BNS_CHECK(cfg_.sim.nranks <= 255, "LET forests fan out to at most 255 ranks");
+  check_physics_config(cfg_.sim);
   sets_.resize(static_cast<std::size_t>(cfg_.sim.nranks));
   decomp_ = Decomposition::uniform(cfg_.sim.nranks);
   migrate_net_ = std::make_unique<InProcTransport>(cfg_.sim.nranks);
@@ -544,6 +545,7 @@ void run_let_gravity_phase(Rank& rank, const SimConfig& cfg, const sfc::KeySpace
   sr.local_stats = out_stats.local_stats;
   sr.remote_stats = out_stats.remote_stats;
   metrics::merge(sr.metrics, let_net.metrics(rank.id()));
+  rank.book_gravity_split(sr.metrics);
 }
 
 // The decentralized per-step domain update + migration + LET/gravity body of

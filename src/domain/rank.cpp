@@ -1,8 +1,29 @@
 #include "domain/rank.hpp"
 
+#include <cmath>
+#include <sstream>
+
+#include "util/check.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai::domain {
+
+std::string physics_config_error(double theta, double eps, double dt) {
+  const auto reason = [](const char* field, const char* rule, double value) {
+    std::ostringstream os;
+    os << field << " must be " << rule << ", got " << value;
+    return os.str();
+  };
+  if (!std::isfinite(theta) || theta <= 0.0) return reason("theta", "finite and > 0", theta);
+  if (!std::isfinite(eps) || eps < 0.0) return reason("eps", "finite and >= 0", eps);
+  if (!std::isfinite(dt)) return reason("dt", "finite", dt);
+  return {};
+}
+
+void check_physics_config(const SimConfig& cfg) {
+  const std::string error = physics_config_error(cfg.theta, cfg.eps, cfg.dt);
+  BNS_CHECK(error.empty(), error);
+}
 
 void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown& times) {
   {
@@ -52,6 +73,12 @@ void Rank::integrate(double dt, TimeBreakdown& times) {
     p.y[i] += p.vy[i] * dt;
     p.z[i] += p.vz[i] * dt;
   });
+}
+
+void Rank::book_gravity_split(metrics::Snapshot& into) {
+  const GravitySplit split = device_.take_gravity_split();
+  into.counters["gravity.walk_s"] += split.walk_s;
+  into.counters["gravity.drain_s"] += split.drain_s;
 }
 
 }  // namespace bonsai::domain

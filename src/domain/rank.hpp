@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "device/device.hpp"
 #include "domain/let.hpp"
+#include "domain/metrics.hpp"
 #include "sfc/keys.hpp"
 #include "tree/octree.hpp"
 #include "tree/particle.hpp"
@@ -64,6 +66,14 @@ struct SimConfig {
   }
 };
 
+// Why `theta`, `eps` and `dt` cannot drive a simulation, naming the first
+// offending field, or empty when they can: all three finite, theta > 0 and
+// eps >= 0. Shared by the in-process and cluster drivers and by job submit.
+std::string physics_config_error(double theta, double eps, double dt);
+
+// Throws CheckError carrying physics_config_error's reason, if it has one.
+void check_physics_config(const SimConfig& cfg);
+
 class Rank {
  public:
   Rank(int id, std::size_t num_threads) : id_(id), device_(num_threads) {
@@ -100,6 +110,10 @@ class Rank {
 
   // Symplectic-Euler kick-drift using the freshly computed accelerations.
   void integrate(double dt, TimeBreakdown& times);
+
+  // Book the device's walk/drain split since the last call (local + remote
+  // gravity) as the gravity.walk_s and gravity.drain_s counters of `into`.
+  void book_gravity_split(metrics::Snapshot& into);
 
  private:
   int id_;

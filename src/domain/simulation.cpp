@@ -113,6 +113,7 @@ std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads) {
 Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   BNS_CHECK(cfg_.nranks >= 1);
   BNS_CHECK(cfg_.nranks <= 255, "grafted LET forests fan out to at most 255 ranks");
+  check_physics_config(cfg_);
   const std::size_t threads = threads_for(cfg_, std::thread::hardware_concurrency());
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
@@ -447,6 +448,7 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
     report.local_stats += local_stats[r];
     report.remote_stats += remote_stats[r];
     metrics::merge(report.metrics, net.metrics(static_cast<int>(r)));
+    ranks_[r]->book_gravity_split(report.metrics);
   }
 }
 
@@ -494,6 +496,7 @@ void Simulation::step_lockstep(StepReport& report, std::vector<TimeBreakdown>& r
     report.local_stats += ranks_[r]->gravity_local(cfg_, rank_times[r]);
     report.remote_stats +=
         ranks_[r]->gravity_remote(forests[r].view(), cfg_, rank_times[r]);
+    ranks_[r]->book_gravity_split(report.metrics);
   }
 
   if (cfg_.dt != 0.0)
@@ -611,7 +614,10 @@ void print_step_report(const StepReport& report, std::ostream& os) {
      << " p2c/particle=" << TextTable::num(stats.p2c_per_particle(report.num_particles), 1)
      << " | gravity " << TextTable::num(rates.gflops_device, 2)
      << " Gflop/s (device), " << TextTable::num(rates.gflops_parallel, 2)
-     << " Gflop/s (parallel model)\n";
+     << " Gflop/s (parallel model) | walk "
+     << TextTable::num(report.metrics.counter("gravity.walk_s") * 1e3) << " ms, drain "
+     << TextTable::num(report.metrics.counter("gravity.drain_s") * 1e3)
+     << " ms (device)\n";
   if (stats.batches() > 0) {
     os << "batches: " << stats.pp_batches << " p-p + " << stats.pc_batches
        << " p-c, fill " << TextTable::num(100.0 * stats.fill_ratio(), 1)

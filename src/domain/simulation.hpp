@@ -75,6 +75,8 @@ struct StepReport {
   //       KeySamples allgathers);
   //   let.delta.*                      incremental LET exchange (--let-cache);
   //   let.size.bytes                   histogram of imported LET frame sizes;
+  //   gravity.{walk,drain}_s           device-seconds of tree walk + list
+  //       staging vs batch drains, measured per device thread, per rank;
   //   transport.post.{frames,bytes}{src,dst,type}    send-side traffic matrix
   //       (kCoordinatorRank appears as -1);
   //   transport.routed.{frames,bytes}{src,dst,type}  cluster runs only: the

@@ -248,6 +248,7 @@ void JobServer::handle_client(FrameSocket sock) {
 
 wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
   const std::string non_finite = find_non_finite(spec.parts);  // scanned outside the lock
+  const std::string bad_physics = domain::physics_config_error(spec.theta, spec.eps, spec.dt);
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t n = spec.parts.size() > 0 ? spec.parts.size() : spec.n;
 
@@ -260,6 +261,8 @@ wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
     rejected.reason = "empty job: n=0 and no initial particles";
   } else if (!non_finite.empty()) {
     rejected.reason = "non-finite initial condition: " + non_finite;
+  } else if (!bad_physics.empty()) {
+    rejected.reason = "invalid physics config: " + bad_physics;
   } else {
     int resident_jobs = 0;
     std::uint64_t resident_particles = 0;

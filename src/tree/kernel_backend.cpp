@@ -6,6 +6,7 @@
 
 #include "tree/kernels.hpp"
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 // The AVX2 and AVX-512 drains are gcc target("...") functions on x86-64; any
 // other compiler or architecture builds the portable variant only.
@@ -398,8 +399,12 @@ void InteractionQueue::flush() {
   if (targets_ == nullptr) return;
   close_cell_run();
   close_leaf_run();
-  for (const Batch& b : cell_batches_) drain_cell_batch(b);
-  for (const Batch& b : leaf_batches_) drain_leaf_batch(b);
+  if (!cell_batches_.empty() || !leaf_batches_.empty()) {
+    const std::int64_t start = now_ns();
+    for (const Batch& b : cell_batches_) drain_cell_batch(b);
+    for (const Batch& b : leaf_batches_) drain_leaf_batch(b);
+    drain_ns_ += now_ns() - start;
+  }
   cell_batches_.clear();
   leaf_batches_.clear();
   cell_node_.clear();

@@ -119,6 +119,11 @@ class InteractionQueue {
   std::size_t capacity() const { return capacity_; }
   KernelIsa isa() const { return isa_; }
 
+  // Nanoseconds this queue has spent draining batches since construction
+  // (two clock samples per flush); callers difference it around a walk to
+  // split walk time from drain time.
+  std::int64_t drain_ns() const { return drain_ns_; }
+
  private:
   struct Batch {
     std::uint32_t begin = 0, end = 0;  // staged-slot range [begin, end)
@@ -163,6 +168,7 @@ class InteractionQueue {
 
   std::vector<Batch> cell_batches_, leaf_batches_;
   InteractionStats stats_{};
+  std::int64_t drain_ns_ = 0;
 };
 
 }  // namespace bonsai

@@ -10,12 +10,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "domain/cluster.hpp"
 #include "domain/simulation.hpp"
+#include "util/check.hpp"
 #include "util/ic.hpp"
 
 namespace bonsai {
@@ -115,6 +117,22 @@ std::uint64_t routed_frames(const domain::StepReport& rep, wire::FrameType type)
 bool routed_any(const domain::StepReport& rep) {
   return std::any_of(rep.metrics.counters.begin(), rep.metrics.counters.end(),
                      [](const auto& c) { return c.first.rfind("transport.routed.", 0) == 0; });
+}
+
+TEST(ClusterSimulation, RejectsInvalidPhysicsConfigBeforeListening) {
+  ClusterConfig cfg;
+  cfg.sim.nranks = 2;
+  cfg.sim.eps = std::numeric_limits<double>::quiet_NaN();
+  cfg.spawn_workers = false;
+  bool listened = false;
+  cfg.on_listen = [&listened](std::uint16_t) { listened = true; };
+  try {
+    ClusterSimulation sim(cfg);
+    ADD_FAILURE() << "a NaN eps must not start a cluster";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("eps must be finite"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(listened);
 }
 
 TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "tree/direct.hpp"
 #include "tree/octree.hpp"
 #include "tree/traverse.hpp"
+#include "util/check.hpp"
 #include "util/compare.hpp"
 #include "util/ic.hpp"
 #include "util/stats.hpp"
@@ -464,6 +466,34 @@ TEST(Simulation, AsyncAndLockstepSchedulesAgree) {
   EXPECT_LT(median_acc_error(lock_got, tree_ref), 5e-4);
 }
 
+TEST(Simulation, StepMeasuresWalkAndDrainSplit) {
+  // Both schedules book the measured gravity split per step: device-seconds
+  // of tree walk + staging and of batch drains, each positive, neither more
+  // than the gravity stages' summed device time, and printed on the
+  // interactions line.
+  for (const bool async : {true, false}) {
+    SimConfig cfg;
+    cfg.nranks = 2;
+    cfg.async = async;
+    Simulation sim(cfg);
+    sim.init(make_plummer(4096, 71));
+    for (int s = 0; s < 2; ++s) {
+      const domain::StepReport rep = sim.step();
+      const double walk = rep.metrics.counter("gravity.walk_s");
+      const double drain = rep.metrics.counter("gravity.drain_s");
+      EXPECT_GT(walk, 0.0) << "async=" << async;
+      EXPECT_GT(drain, 0.0) << "async=" << async;
+      const double pool_threads = static_cast<double>(sim.rank(0).device().num_threads());
+      const double gravity =
+          rep.sum_times.get("Gravity local") + rep.sum_times.get("Gravity remote");
+      EXPECT_LE(walk + drain, gravity * pool_threads * 1.01 + 1e-3);
+      std::ostringstream os;
+      print_step_report(rep, os);
+      EXPECT_NE(os.str().find(" ms (device)"), std::string::npos);
+    }
+  }
+}
+
 TEST(Simulation, AsyncStepReportsScheduleModel) {
   SimConfig cfg;
   cfg.nranks = 4;
@@ -506,6 +536,41 @@ TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
   Simulation sim(cfg);
   sim.init(make_plummer(200, 9));
   EXPECT_THROW(sim.step(), std::exception);
+}
+
+TEST(Simulation, RejectsInvalidPhysicsConfigNamingTheField) {
+  // A NaN or negative softening, a non-finite step or a non-positive opening
+  // angle must fail at construction with the field's name, not run to NaN
+  // energies (or, for eps < 0, silently as |eps|).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto reason = [](const SimConfig& cfg) -> std::string {
+    try {
+      Simulation sim(cfg);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  SimConfig ok;
+  ok.nranks = 2;
+  EXPECT_EQ(reason(ok), "");
+  EXPECT_EQ(domain::physics_config_error(ok.theta, 0.0, -1e-3), "");  // eps 0, dt < 0 run
+  struct Bad {
+    double theta, eps, dt;
+    const char* field;
+  };
+  for (const Bad& bad : {Bad{nan, 1e-2, 1e-3, "theta"}, Bad{0.0, 1e-2, 1e-3, "theta"},
+                         Bad{-inf, 1e-2, 1e-3, "theta"}, Bad{0.4, nan, 1e-3, "eps"},
+                         Bad{0.4, -1.0, 1e-3, "eps"}, Bad{0.4, 1e-2, nan, "dt"},
+                         Bad{0.4, 1e-2, inf, "dt"}}) {
+    SimConfig cfg = ok;
+    cfg.theta = bad.theta;
+    cfg.eps = bad.eps;
+    cfg.dt = bad.dt;
+    EXPECT_NE(reason(cfg).find(std::string("— ") + bad.field + " must be"), std::string::npos)
+        << bad.field << ": " << reason(cfg);
+  }
 }
 
 TEST(Simulation, ZeroParticlesUnderAsyncPath) {

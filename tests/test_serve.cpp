@@ -260,6 +260,31 @@ TEST(Serve, SubmitRejectsNonFiniteInitialParticles) {
   EXPECT_EQ(serve::fetch_metrics(kHost, server.port()).counters.at("server.jobs.rejected"), 2.0);
 }
 
+TEST(Serve, SubmitRejectsInvalidPhysicsNamingTheField) {
+  ServerConfig cfg = test_server_config("bad-physics");
+  JobServer server(cfg);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    double theta, eps, dt;
+    const char* field;
+  };
+  for (const Bad& bad : {Bad{nan, 1e-2, 1e-3, "theta"}, Bad{0.0, 1e-2, 1e-3, "theta"},
+                         Bad{-0.4, 1e-2, 1e-3, "theta"}, Bad{0.4, nan, 1e-3, "eps"},
+                         Bad{0.4, -1.0, 1e-3, "eps"}, Bad{0.4, inf, 1e-3, "eps"},
+                         Bad{0.4, 1e-2, nan, "dt"}, Bad{0.4, 1e-2, -inf, "dt"}}) {
+    wire::JobSpec spec = small_job(256, 1);
+    spec.theta = bad.theta;
+    spec.eps = bad.eps;
+    spec.dt = bad.dt;
+    const auto rej = serve::submit_job(kHost, server.port(), spec);
+    EXPECT_EQ(rej.state, wire::JobState::kRejected) << bad.field;
+    EXPECT_EQ(rej.reason.find(std::string("invalid physics config: ") + bad.field), 0u)
+        << rej.reason;
+  }
+  EXPECT_EQ(serve::fetch_metrics(kHost, server.port()).counters.at("server.jobs.rejected"), 8.0);
+}
+
 TEST(Serve, AdmissionRejectsNamingTheViolatedLimit) {
   {
     ServerConfig cfg = test_server_config("admit-jobs");
