@@ -66,11 +66,13 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
   // driver thread's ring, so pool-thread spans would be invisible there.
   trace::ScopedSpan span("gravity.eval", trace_rank_);
 
-  // Each group writes a disjoint particle range, so workers need no locking
-  // on the outputs; stats and the walk/drain split merge under a mutex after
-  // each group. Each pool thread keeps one staging queue alive across groups
-  // (and calls) so the SoA buffers are allocated once per thread, not once
-  // per group.
+  // The walk array is built once per source tree and shared read-only by
+  // every worker. Each group writes a disjoint particle range, so workers
+  // need no locking on the outputs; stats and the walk/drain split merge
+  // under a mutex after each group. Each pool thread keeps one staging queue
+  // alive across groups (and calls) so the SoA buffers are allocated once
+  // per thread, not once per group.
+  const WalkTree walk(src);
   std::mutex stats_mutex;
   InteractionStats total;
   pool_->parallel_for(groups.size(), [&](std::size_t g) {
@@ -78,7 +80,7 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
     const std::int64_t drained_before = queue.drain_ns();
     const std::int64_t start = now_ns();
     const InteractionStats s =
-        traverse_one_group_batched(src, targets, groups[g], config, self, queue);
+        traverse_one_group_batched(walk, targets, groups[g], config, self, queue);
     const std::int64_t elapsed = now_ns() - start;
     const std::int64_t drained = queue.drain_ns() - drained_before;
     std::lock_guard lock(stats_mutex);

@@ -61,7 +61,8 @@ class Device {
 
   // "Compute gravity": walk `src` for all groups in parallel, accumulating
   // accelerations into `targets`. Groups are dispatched across workers the
-  // way warps are scheduled onto SMs. Each worker walks its group into a
+  // way warps are scheduled onto SMs. One WalkTree of `src` is built per
+  // call and shared by the workers; each walks its group into a
   // thread-local InteractionQueue and `config.backend` drains the staged
   // batches (tree/kernel_backend.hpp); emits a `gravity.eval` trace span on
   // the calling thread.

@@ -1,12 +1,16 @@
 // Pluggable force-kernel backends draining staged interaction lists.
 //
 // This is the paper's traversal/evaluation split (§III-A, §VI-A): the group
-// walk no longer evaluates forces inline but *emits* interaction lists —
-// (target-group × accepted-cell) and (target-group × leaf-particle) records —
-// into an InteractionQueue, and a kernel backend burns the staged batches
-// down as wide, regular FLOPs over structure-of-arrays buffers. The same
-// seam is where a CUDA/SYCL backend drops in later: the queue is the host
-// side of the device interaction buffer, the drain is the kernel launch.
+// walk (tree/traverse.*) does not evaluate forces but *emits* interaction
+// lists — (target-group × accepted-cell) and (target-group × leaf-particle)
+// records — into an InteractionQueue, and a kernel backend burns the staged
+// batches down as wide, regular FLOPs over structure-of-arrays buffers. The
+// same seam is where a CUDA/SYCL backend drops in later: the queue is the
+// host side of the device interaction buffer, the drain is the kernel launch.
+//
+// Staging is sized once per queue and written by index: a cell is one slot,
+// an opened leaf's contiguous particles are converted in one loop, and the
+// self-pairs of a self walk are counted from leaf ranges as they are staged.
 //
 // Backends:
 //   scalar — replays pp_kernel/pc_kernel per staged interaction, in staged
@@ -17,17 +21,23 @@
 //            hardware reciprocal-square-root estimate plus one Newton step,
 //            and each batch's float sums are added into the double target
 //            arrays. The instruction set is picked once per process
-//            (KernelIsa): AVX-512, AVX2+FMA or a portable fallback.
+//            (KernelIsa): AVX-512, AVX2+FMA or a portable fallback. The
+//            walk's child test is dispatched on the same KernelIsa.
 //
 // The simd drain pads each walk's targets to kKernelBatchPad lanes (repeating
-// the last target, whose sums are dropped) and masks self-interactions per
-// lane instead of branching around them, so the inner loops are branch-free.
+// the last target, whose sums are dropped) and holds two target vectors in
+// registers per sweep over the sources, so each source is loaded once per
+// two vectors. A self walk masks self-interactions per lane instead of
+// branching around them, but only over the staged slots holding the group's
+// own particles; every other slot runs unmasked, which is bit-identical
+// because the mask only ever adds +0.0f and multiplies by 1.0f there.
 // InteractionStats carries both the useful and the padded interaction counts
 // (util/flops.hpp) so the Gflop/s accounting stays honest.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -54,6 +64,16 @@ inline constexpr std::array<KernelBackend, 2> kKernelBackends = {KernelBackend::
 
 // Instruction-set variants of the simd drain. All share one loop body; only
 // the reciprocal-square-root estimate differs per ISA.
+//
+// The AVX2 and AVX-512 variants (of the drain and of the walk's child test)
+// are gcc target("...") functions on x86-64; any other compiler or
+// architecture builds the portable variant only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define BONSAI_KERNEL_X86 1
+#else
+#define BONSAI_KERNEL_X86 0
+#endif
+
 enum class KernelIsa : std::uint8_t {
   kPortable = 0,  // plain vector code, exact 1/sqrt estimate
   kAvx2 = 1,      // rsqrtps + FMA, 8 lanes
@@ -86,10 +106,11 @@ struct WalkParams {
 //   ... push_cell / push_leaf while walking ...
 //   InteractionStats s = queue.finish_walk();
 //
-// finish_walk drains everything staged. When the staged source slots exceed
-// `capacity` mid-walk the queue flushes — drains every pending batch through
-// the backend and resets the buffers — so the staging memory stays bounded no
-// matter how deep a walk opens the tree.
+// finish_walk drains everything staged. When the staged source slots would
+// reach `capacity` mid-walk the queue flushes — drains the pending cell and
+// leaf batches through the backend and starts over — so the staging memory
+// stays bounded no matter how deep a walk opens the tree. (A single leaf
+// larger than `capacity` is staged whole, after a flush.)
 class InteractionQueue {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 14;
@@ -111,9 +132,9 @@ class InteractionQueue {
   // walk's target range.
   void push_leaf(const TreeNode& leaf);
 
-  // Close the current walk's batches, drain everything still staged and
-  // return (and reset) the interaction statistics accumulated since
-  // begin_walk. The queue is reusable afterwards.
+  // Drain everything still staged and return (and reset) the interaction
+  // statistics accumulated since begin_walk. The queue is reusable
+  // afterwards.
   InteractionStats finish_walk();
 
   std::size_t capacity() const { return capacity_; }
@@ -125,17 +146,17 @@ class InteractionQueue {
   std::int64_t drain_ns() const { return drain_ns_; }
 
  private:
-  struct Batch {
-    std::uint32_t begin = 0, end = 0;  // staged-slot range [begin, end)
-  };
+  // Staged columns, allocated once (uninitialized: only written slots are
+  // ever read) and written by index.
+  template <typename T>
+  using Column = std::unique_ptr<T[]>;
 
-  void close_cell_run();
-  void close_leaf_run();
   void flush();
   void stage_targets();
-  void drain_cell_batch(const Batch& b);
-  void drain_leaf_batch(const Batch& b);
-  void drain_simd_batch(const Batch& b, bool cells);
+  void grow_leaf_columns(std::size_t slots);
+  void drain_cells();
+  void drain_leaves();
+  void drain_simd(bool cells);
   std::uint64_t evaluated_targets() const;
 
   std::size_t capacity_;
@@ -148,16 +169,23 @@ class InteractionQueue {
   KernelBackend backend_ = KernelBackend::kSimd;
   std::uint32_t target_begin_ = 0, target_end_ = 0;
   Vec3d centre_{};  // simd staging origin: the first target's position
-  std::uint32_t cell_run_begin_ = 0, leaf_run_begin_ = 0;
 
-  // Staged sources. Both backends record what they stage by index — cells by
-  // node index, leaf particles by particle index — and the scalar replay
-  // reads the double-precision source data through those indices. The simd
-  // backend additionally stages float SoA relative to centre_: cells as
+  // Staged sources since the last flush: cells in slots [0, ncell_), leaf
+  // particles in [0, nleaf_). Both backends record what they stage by index —
+  // cells by node index, leaf particles by particle index — and the scalar
+  // replay reads the double-precision source data through those indices. The
+  // simd backend additionally stages float SoA relative to centre_: cells as
   // x y z m qxx qxy qxz qyy qyz qzz (Quadrupole::q order), leaves as x y z m.
-  std::vector<std::uint32_t> cell_node_, leaf_part_;
-  std::array<std::vector<float>, 10> fcell_;
-  std::array<std::vector<float>, 4> fleaf_;
+  std::size_t ncell_ = 0, nleaf_ = 0, leaf_slots_ = 0;
+  Column<std::uint32_t> cell_node_, leaf_part_;
+  std::array<Column<float>, 10> fcell_;
+  std::array<Column<float>, 4> fleaf_;
+
+  // Self walks: staged particles that are targets of this walk (masked, not
+  // useful) and the slot range holding them — the only slots the simd drain
+  // masks.
+  std::uint64_t self_pairs_ = 0;
+  std::size_t self_begin_ = 0, self_end_ = 0;
 
   // simd drain scratch: the walk's targets as float lanes (positions relative
   // to centre_, global index for self-masking), padded to kKernelBatchPad,
@@ -166,7 +194,6 @@ class InteractionQueue {
   std::vector<std::int32_t> ftarget_idx_;
   std::array<std::vector<float>, 4> lane_sum_;
 
-  std::vector<Batch> cell_batches_, leaf_batches_;
   InteractionStats stats_{};
   std::int64_t drain_ns_ = 0;
 };

@@ -1,9 +1,13 @@
 #include "tree/traverse.hpp"
 
 #include <algorithm>
+#include <cstring>
 
-#include "tree/kernels.hpp"
 #include "util/check.hpp"
+
+#if BONSAI_KERNEL_X86
+#include <immintrin.h>  // _CMP_GT_OQ, _MM_FROUND_CUR_DIRECTION
+#endif
 
 namespace bonsai {
 
@@ -23,141 +27,235 @@ std::vector<TargetGroup> make_groups(const ParticleSet& parts, int ncrit) {
   return groups;
 }
 
+WalkTree::WalkTree(const TreeView& view) : src(view) {
+  const std::size_t n = view.nodes.size();
+  BNS_CHECK(n < (std::size_t{1} << 30), "walk stack entries pack node indices in 30 bits");
+  for (auto* column : {&com_x, &com_y, &com_z, &rcrit2}) column->assign(n + kChildBlock, 0.0);
+  first_child.resize(n);
+  num_children.resize(n);
+  action.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TreeNode& node = view.nodes[i];
+    com_x[i] = node.mp.com.x;
+    com_y[i] = node.mp.com.y;
+    com_z[i] = node.mp.com.z;
+    rcrit2[i] = node.rcrit * node.rcrit;
+    first_child[i] = node.first_child;
+    num_children[i] = node.num_children;
+    switch (node.kind) {
+      case NodeKind::kInternal: action[i] = WalkAction::kOpen; break;
+      // A pruned LET branch: the sender guaranteed the MAC holds for every
+      // point of our domain, so the multipole is always usable.
+      case NodeKind::kMultipoleLeaf: action[i] = WalkAction::kCell; break;
+      // Only a particle leaf is skippable when empty: LET internal nodes
+      // carry no opened particles of their own but still hold live children.
+      case NodeKind::kParticleLeaf:
+        action[i] = node.count() == 0 ? WalkAction::kSkip : WalkAction::kLeaf;
+        break;
+    }
+  }
+}
+
 namespace {
 
-// MAC: the cell may be used as a multipole if the minimum distance between
-// the target region and the cell COM exceeds rcrit = l/theta + delta.
-inline bool mac_accept(const AABB& target_region, const TreeNode& node) {
-  return target_region.min_dist2(node.mp.com) > node.rcrit * node.rcrit;
-}
+// ---- child test -----------------------------------------------------------------
+//
+// The MAC accepts a node when the squared distance from the group box to its
+// COM exceeds rcrit^2. The vector test below reproduces AABB::min_dist2
+// operation for operation — per axis the first largest of (lo - p, 0,
+// p - hi), squares summed x, y, z — so every decision equals the scalar
+// one, NaN COMs included (they are never accepted). That only holds
+// without FMA contraction: a fused d2 + d*d rounds once where min_dist2
+// rounds twice and can flip a knife-edge decision. Every variant is
+// therefore compiled with fp-contract=off.
 
-inline bool mac_accept(const Vec3d& target, const TreeNode& node) {
-  const Vec3d d = node.mp.com - target;
-  return norm2(d) > node.rcrit * node.rcrit;
-}
+// Helpers take and return vectors by value and are always inlined into the
+// target("...") entry points, so no call crosses the ABI boundary gcc warns
+// about (the warning is reported at the end of the file).
+#if BONSAI_KERNEL_X86
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
 
-// Apply an accepted cell to every target in [begin, end).
-inline void apply_cell(const TreeNode& node, ParticleSet& targets, std::uint32_t begin,
-                       std::uint32_t end, double eps2, bool quadrupole,
-                       InteractionStats& stats) {
-  for (std::uint32_t i = begin; i < end; ++i) {
-    ForceAccum<double> f{};
-    if (quadrupole) {
-      pc_kernel(targets.pos(i), node.mp, eps2, f);
-    } else {
-      pc_kernel_monopole(targets.pos(i), node.mp, eps2, f);
-    }
-    targets.ax[i] += f.ax;
-    targets.ay[i] += f.ay;
-    targets.az[i] += f.az;
-    targets.pot[i] += f.pot;
+#if defined(__GNUC__) && !defined(__clang__)
+#define BONSAI_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define BONSAI_NO_FP_CONTRACT
+#endif
+
+template <std::uint32_t W>
+struct ChildLanes {
+  static_assert(WalkTree::kChildBlock % W == 0, "a child block must fill whole vectors");
+  static constexpr std::uint32_t kLanes = W;
+  typedef double D __attribute__((vector_size(W * sizeof(double))));
+};
+
+struct PortableChildIsa : ChildLanes<2> {
+  [[gnu::always_inline]] static inline unsigned greater(const D& a, const D& b) {
+    const auto gt = a > b;
+    unsigned bits = 0;
+    for (std::uint32_t l = 0; l < kLanes; ++l) bits |= static_cast<unsigned>(gt[l] & 1) << l;
+    return bits;
   }
-  stats.p2c += end - begin;
-  stats.p2c_padded += end - begin;  // inline evaluation pads nothing
+};
+
+#if BONSAI_KERNEL_X86
+struct Avx2ChildIsa : ChildLanes<4> {
+  [[gnu::always_inline]] static inline unsigned greater(const D& a, const D& b) {
+    return static_cast<unsigned>(
+        __builtin_ia32_movmskpd256(__builtin_ia32_cmppd256(a, b, _CMP_GT_OQ)));
+  }
+};
+
+struct Avx512ChildIsa : ChildLanes<8> {
+  [[gnu::always_inline]] static inline unsigned greater(const D& a, const D& b) {
+    return __builtin_ia32_cmppd512_mask(a, b, _CMP_GT_OQ, 0xff, _MM_FROUND_CUR_DIRECTION);
+  }
+};
+#endif
+
+template <class D>
+[[gnu::always_inline]] inline D load(const double* p) {
+  D v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-// Apply an opened leaf's particles to every target in [begin, end).
-inline void apply_leaf(const TreeView& src, const TreeNode& leaf, ParticleSet& targets,
-                       std::uint32_t begin, std::uint32_t end, double eps2, bool self,
-                       InteractionStats& stats) {
-  for (std::uint32_t i = begin; i < end; ++i) {
-    ForceAccum<double> f{};
-    const double tx = targets.x[i], ty = targets.y[i], tz = targets.z[i];
-    std::uint64_t applied = 0;
-    for (std::uint32_t j = leaf.part_begin; j < leaf.part_end; ++j) {
-      if (self && j == i) continue;  // exact self-interaction
-      pp_kernel<double>(tx, ty, tz, src.x[j], src.y[j], src.z[j], src.m[j], eps2, f);
-      ++applied;
+template <class D>
+[[gnu::always_inline]] inline D broadcast(double x) {
+  return D{} + x;
+}
+
+// std::max({lo - p, 0.0, p - hi}) lane by lane: the first of the largest.
+template <class D>
+[[gnu::always_inline]] inline D axis_gap(const D& lo, const D& p, const D& hi) {
+  const D zero{};
+  D d = lo - p;
+  d = d < zero ? zero : d;
+  const D up = p - hi;
+  return d < up ? up : d;
+}
+
+template <class Isa>
+struct GroupBox {
+  using D = typename Isa::D;
+  D lox, loy, loz, hix, hiy, hiz;
+
+  [[gnu::always_inline]] explicit GroupBox(const AABB& box)
+      : lox(broadcast<D>(box.lo.x)),
+        loy(broadcast<D>(box.lo.y)),
+        loz(broadcast<D>(box.lo.z)),
+        hix(broadcast<D>(box.hi.x)),
+        hiy(broadcast<D>(box.hi.y)),
+        hiz(broadcast<D>(box.hi.z)) {}
+};
+
+// Bit l set when node `first + l` is MAC-accepted, for kLanes nodes.
+template <class Isa>
+[[gnu::always_inline]] inline unsigned accepted(const WalkTree& w, std::size_t first,
+                                                const GroupBox<Isa>& b) {
+  using D = typename Isa::D;
+  const D dx = axis_gap(b.lox, load<D>(w.com_x.data() + first), b.hix);
+  const D dy = axis_gap(b.loy, load<D>(w.com_y.data() + first), b.hiy);
+  const D dz = axis_gap(b.loz, load<D>(w.com_z.data() + first), b.hiz);
+  D d2 = dx * dx;
+  d2 = d2 + dy * dy;
+  d2 = d2 + dz * dz;
+  return Isa::greater(d2, load<D>(w.rcrit2.data() + first));
+}
+
+// ---- walk -------------------------------------------------------------------------
+//
+// A stack entry is `node << 2 | action`: the decision is made when the
+// parent is opened, and children are pushed first to last (popped last to
+// first), skipping empty leaves, which the one-node-at-a-time walk popped
+// and dropped. Pops, and therefore staged cells and leaves, come out in that
+// walk's order.
+
+template <class Isa>
+[[gnu::always_inline]] inline void open_children(const WalkTree& w, const GroupBox<Isa>& box,
+                                                 std::uint32_t first, std::uint32_t count,
+                                                 std::vector<std::uint32_t>& stack) {
+  for (std::uint32_t c = 0; c < count; c += Isa::kLanes) {
+    const unsigned accept = accepted<Isa>(w, first + c, box);
+    const std::uint32_t lanes = std::min(Isa::kLanes, count - c);
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      const std::uint32_t child = first + c + l;
+      WalkAction action = w.action[child];
+      if (action == WalkAction::kSkip) continue;
+      if ((accept >> l) & 1u) action = WalkAction::kCell;
+      stack.push_back(child << 2 | static_cast<std::uint32_t>(action));
     }
-    targets.ax[i] += f.ax;
-    targets.ay[i] += f.ay;
-    targets.az[i] += f.az;
-    targets.pot[i] += f.pot;
-    stats.p2p += applied;
-    stats.p2p_padded += applied;
   }
+}
+
+template <class Isa>
+[[gnu::always_inline]] inline void walk_group(const WalkTree& w, const AABB& group_box,
+                                              InteractionQueue& queue,
+                                              std::vector<std::uint32_t>& stack) {
+  const GroupBox<Isa> box(group_box);
+  stack.clear();
+  open_children(w, box, 0, 1, stack);  // the root, as a one-node block
+  while (!stack.empty()) {
+    const std::uint32_t entry = stack.back();
+    stack.pop_back();
+    const std::uint32_t node = entry >> 2;
+    switch (static_cast<WalkAction>(entry & 3u)) {
+      case WalkAction::kCell: queue.push_cell(node); break;
+      case WalkAction::kLeaf: queue.push_leaf(w.src.nodes[node]); break;
+      case WalkAction::kOpen:
+        open_children(w, box, static_cast<std::uint32_t>(w.first_child[node]),
+                      w.num_children[node], stack);
+        break;
+      case WalkAction::kSkip: break;
+    }
+  }
+}
+
+using WalkFn = void (*)(const WalkTree&, const AABB&, InteractionQueue&,
+                        std::vector<std::uint32_t>&);
+
+BONSAI_NO_FP_CONTRACT void walk_portable(const WalkTree& w, const AABB& box,
+                                         InteractionQueue& queue,
+                                         std::vector<std::uint32_t>& stack) {
+  walk_group<PortableChildIsa>(w, box, queue, stack);
+}
+
+#if BONSAI_KERNEL_X86
+[[gnu::target("avx2")]] BONSAI_NO_FP_CONTRACT void walk_avx2(
+    const WalkTree& w, const AABB& box, InteractionQueue& queue,
+    std::vector<std::uint32_t>& stack) {
+  walk_group<Avx2ChildIsa>(w, box, queue, stack);
+}
+
+[[gnu::target("avx512f")]] BONSAI_NO_FP_CONTRACT void walk_avx512(
+    const WalkTree& w, const AABB& box, InteractionQueue& queue,
+    std::vector<std::uint32_t>& stack) {
+  walk_group<Avx512ChildIsa>(w, box, queue, stack);
+}
+#endif
+
+WalkFn walk_variant([[maybe_unused]] KernelIsa isa) {
+#if BONSAI_KERNEL_X86
+  if (isa == KernelIsa::kAvx512) return walk_avx512;
+  if (isa == KernelIsa::kAvx2) return walk_avx2;
+#endif
+  return walk_portable;
 }
 
 }  // namespace
 
-InteractionStats traverse_one_group(const TreeView& src, ParticleSet& targets,
-                                    const TargetGroup& group,
-                                    const TraversalConfig& config, bool self) {
-  InteractionStats stats;
-  if (src.empty() || group.begin == group.end) return stats;
-  const double eps2 = config.eps * config.eps;
-
-  std::vector<std::int32_t> stack;
-  stack.push_back(0);
-  while (!stack.empty()) {
-    const TreeNode& node = src.nodes[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
-    // Only a particle leaf is skippable when empty: LET internal nodes carry
-    // no opened particles of their own but still hold live children, and
-    // multipole leaves carry none by construction.
-    if (node.count() == 0 && node.kind == NodeKind::kParticleLeaf) continue;
-
-    if (mac_accept(group.box, node)) {
-      apply_cell(node, targets, group.begin, group.end, eps2, config.quadrupole, stats);
-      continue;
-    }
-    switch (node.kind) {
-      case NodeKind::kInternal:
-        for (std::uint8_t c = 0; c < node.num_children; ++c)
-          stack.push_back(node.first_child + c);
-        break;
-      case NodeKind::kParticleLeaf:
-        apply_leaf(src, node, targets, group.begin, group.end, eps2, self, stats);
-        break;
-      case NodeKind::kMultipoleLeaf:
-        // Pruned LET branch: the sender guaranteed the MAC holds for every
-        // point of our domain, so the multipole is always usable.
-        apply_cell(node, targets, group.begin, group.end, eps2, config.quadrupole, stats);
-        break;
-    }
-  }
-  return stats;
-}
-
-InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& targets,
+InteractionStats traverse_one_group_batched(const WalkTree& walk, ParticleSet& targets,
                                             const TargetGroup& group,
                                             const TraversalConfig& config, bool self,
                                             InteractionQueue& queue) {
-  if (src.empty() || group.begin == group.end) return InteractionStats{};
+  if (walk.src.empty() || group.begin == group.end) return InteractionStats{};
   WalkParams params;
   params.eps2 = config.eps * config.eps;
   params.quadrupole = config.quadrupole;
   params.self = self;
-  queue.begin_walk(src, targets, params, config.backend, group.begin, group.end);
-
-  // Same stack discipline and MAC decisions as traverse_one_group; the only
-  // difference is that accepted cells and opened leaves are staged instead of
-  // evaluated on the spot.
-  std::vector<std::int32_t> stack;
-  stack.push_back(0);
-  while (!stack.empty()) {
-    const auto index = static_cast<std::uint32_t>(stack.back());
-    const TreeNode& node = src.nodes[index];
-    stack.pop_back();
-    if (node.count() == 0 && node.kind == NodeKind::kParticleLeaf) continue;
-
-    if (mac_accept(group.box, node)) {
-      queue.push_cell(index);
-      continue;
-    }
-    switch (node.kind) {
-      case NodeKind::kInternal:
-        for (std::uint8_t c = 0; c < node.num_children; ++c)
-          stack.push_back(node.first_child + c);
-        break;
-      case NodeKind::kParticleLeaf:
-        queue.push_leaf(node);
-        break;
-      case NodeKind::kMultipoleLeaf:
-        queue.push_cell(index);
-        break;
-    }
-  }
+  queue.begin_walk(walk.src, targets, params, config.backend, group.begin, group.end);
+  thread_local std::vector<std::uint32_t> stack;
+  walk_variant(queue.isa())(walk, group.box, queue, stack);
   return queue.finish_walk();
 }
 
@@ -165,49 +263,10 @@ InteractionStats traverse_groups_batched(const TreeView& src, ParticleSet& targe
                                          std::span<const TargetGroup> groups,
                                          const TraversalConfig& config, bool self,
                                          InteractionQueue& queue) {
+  const WalkTree walk(src);
   InteractionStats stats;
   for (const TargetGroup& g : groups)
-    stats += traverse_one_group_batched(src, targets, g, config, self, queue);
-  return stats;
-}
-
-InteractionStats traverse_groups(const TreeView& src, ParticleSet& targets,
-                                 std::span<const TargetGroup> groups,
-                                 const TraversalConfig& config, bool self) {
-  InteractionStats stats;
-  for (const TargetGroup& g : groups)
-    stats += traverse_one_group(src, targets, g, config, self);
-  return stats;
-}
-
-InteractionStats traverse_single(const TreeView& src, ParticleSet& targets,
-                                 std::uint32_t target_index,
-                                 const TraversalConfig& config, bool self) {
-  InteractionStats stats;
-  if (src.empty()) return stats;
-  const double eps2 = config.eps * config.eps;
-  const Vec3d tpos = targets.pos(target_index);
-
-  std::vector<std::int32_t> stack;
-  stack.push_back(0);
-  while (!stack.empty()) {
-    const TreeNode& node = src.nodes[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
-    if (node.count() == 0 && node.kind == NodeKind::kParticleLeaf) continue;
-
-    const bool accept = node.kind == NodeKind::kMultipoleLeaf || mac_accept(tpos, node);
-    if (accept) {
-      apply_cell(node, targets, target_index, target_index + 1, eps2, config.quadrupole,
-                 stats);
-      continue;
-    }
-    if (node.kind == NodeKind::kInternal) {
-      for (std::uint8_t c = 0; c < node.num_children; ++c)
-        stack.push_back(node.first_child + c);
-    } else {
-      apply_leaf(src, node, targets, target_index, target_index + 1, eps2, self, stats);
-    }
-  }
+    stats += traverse_one_group_batched(walk, targets, g, config, self, queue);
   return stats;
 }
 

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -40,7 +39,7 @@ using domain::Simulation;
 // particle-id order so they align with Simulation::gather().
 ParticleSet global_tree_forces(const ParticleSet& global, double theta, double eps,
                                int nleaf = Octree::kDefaultNLeaf, int ncrit = 64,
-                               std::optional<KernelBackend> backend = std::nullopt) {
+                               KernelBackend backend = KernelBackend::kScalar) {
   ParticleSet ref = global;
   sfc::KeySpace space(ref.bounds());
   sort_by_keys(ref, space);
@@ -53,13 +52,9 @@ ParticleSet global_tree_forces(const ParticleSet& global, double theta, double e
   cfg.eps = eps;
   cfg.ncrit = ncrit;
   ref.zero_forces();
-  if (backend) {
-    cfg.backend = *backend;
-    InteractionQueue queue;
-    traverse_groups_batched(tree.view(ref), ref, groups, cfg, /*self=*/true, queue);
-  } else {
-    traverse_groups(tree.view(ref), ref, groups, cfg, /*self=*/true);
-  }
+  cfg.backend = backend;
+  InteractionQueue queue;
+  traverse_groups_batched(tree.view(ref), ref, groups, cfg, /*self=*/true, queue);
 
   std::vector<std::uint32_t> perm(ref.size());
   std::iota(perm.begin(), perm.end(), 0u);
@@ -283,7 +278,9 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   auto groups = make_groups(targets, 64);
   TraversalConfig cfg;
   cfg.theta = 0.4;
-  traverse_groups(forest.view(), targets, groups, cfg, /*self=*/false);
+  cfg.backend = KernelBackend::kScalar;
+  InteractionQueue queue;
+  traverse_groups_batched(forest.view(), targets, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = targets;
   ref.zero_forces();
@@ -321,7 +318,9 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   TraversalConfig cfg;
   cfg.theta = 0.4;
   cfg.eps = 1e-3;
-  traverse_groups(forest.view(), right, groups, cfg, /*self=*/false);
+  cfg.backend = KernelBackend::kScalar;
+  InteractionQueue queue;
+  traverse_groups_batched(forest.view(), right, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = right;
   ref.zero_forces();

@@ -1,8 +1,9 @@
-// The batched interaction-list engine: backend name parsing, the scalar
-// replay's agreement with the inline reference walk, the mixed-precision simd
-// drain's accuracy gate against scalar on every ISA variant the host runs,
-// useful-vs-padded flops accounting, batch edge cases and queue
-// overflow/flush behaviour.
+// The batched interaction-list engine: backend name parsing, the backends'
+// agreement on what the walk emits, the mixed-precision simd drain's accuracy
+// gate against the double-precision scalar replay on every ISA variant the
+// host runs, useful-vs-padded flops accounting, batch edge cases and queue
+// overflow/flush behaviour. (The walk's own equivalence with the reference
+// walk is pinned in test_traverse.cpp.)
 #include "tree/kernel_backend.hpp"
 
 #include <gtest/gtest.h>
@@ -49,6 +50,15 @@ WalkSetup make_setup(std::size_t n, std::uint64_t seed, double theta, int ncrit 
   s.tree.compute_properties(s.parts, theta);
   s.groups = make_groups(s.parts, ncrit);
   return s;
+}
+
+// The double-precision reference forces: the walk with the scalar backend.
+InteractionStats scalar_walk(const TreeView& src, ParticleSet& targets,
+                             std::span<const TargetGroup> groups, TraversalConfig cfg,
+                             bool self) {
+  cfg.backend = KernelBackend::kScalar;
+  InteractionQueue queue;
+  return traverse_groups_batched(src, targets, groups, cfg, self, queue);
 }
 
 // Worst per-particle relative acceleration difference between two runs over
@@ -133,18 +143,17 @@ TEST(KernelBackend, AllBackendsAgreeWithInlineWalk) {
   ParticleSet inlined = s.parts;
   inlined.zero_forces();
   const InteractionStats inline_stats =
-      traverse_groups(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
+      scalar_walk(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
   ASSERT_GT(inline_stats.p2p, 0u);
   ASSERT_GT(inline_stats.p2c, 0u);
-  EXPECT_EQ(inline_stats.p2p_padded, inline_stats.p2p);  // inline pads nothing
-  EXPECT_EQ(inline_stats.batches(), 0u);
+  EXPECT_EQ(inline_stats.p2p_padded, inline_stats.p2p);  // the scalar replay pads nothing
 
   ParticleSet scalar, simd;
   const InteractionStats scalar_stats =
       batched_forces(s, scalar, KernelBackend::kScalar, cfg);
   const InteractionStats simd_stats = batched_forces(s, simd, KernelBackend::kSimd, cfg);
 
-  // Identical useful counts: the emission mirrors the inline MAC decisions.
+  // Identical useful counts: both backends stage the same lists.
   for (const InteractionStats* bs : {&scalar_stats, &simd_stats}) {
     EXPECT_EQ(bs->p2p, inline_stats.p2p);
     EXPECT_EQ(bs->p2c, inline_stats.p2c);
@@ -158,8 +167,8 @@ TEST(KernelBackend, AllBackendsAgreeWithInlineWalk) {
   EXPECT_LE(simd_stats.fill_ratio(), 1.0);
   EXPECT_GT(simd_stats.fill_ratio(), 0.5);  // ncrit=64 groups keep batches dense
 
-  // Forces: scalar replays the same kernels in near-identical order; simd
-  // differs by single-precision arithmetic (gated below per ISA).
+  // Forces: the scalar replay is deterministic; simd differs by
+  // single-precision arithmetic (gated below per ISA).
   EXPECT_LT(max_rel_acc_diff(scalar, inlined), 1e-12);
   expect_simd_accuracy(simd, scalar, dispatched_kernel_isa());
 }
@@ -177,7 +186,7 @@ TEST(KernelBackend, DisjointSourceTargetWalkAgrees) {
   ParticleSet inlined = targets;
   inlined.zero_forces();
   const InteractionStats inline_stats =
-      traverse_groups(src.tree.view(src.parts), inlined, groups, cfg, /*self=*/false);
+      scalar_walk(src.tree.view(src.parts), inlined, groups, cfg, /*self=*/false);
 
   ParticleSet scalar;
   for (const KernelBackend b : kKernelBackends) {
@@ -209,7 +218,7 @@ TEST(KernelBackend, MonopoleOnlyWalkAgrees) {
 
   ParticleSet inlined = s.parts;
   inlined.zero_forces();
-  traverse_groups(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
+  scalar_walk(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
 
   ParticleSet scalar, simd;
   batched_forces(s, scalar, KernelBackend::kScalar, cfg);
@@ -247,7 +256,7 @@ ParticleSet sorted_cloud(std::size_t n, std::uint64_t seed) {
 
 TEST(KernelBackend, MultipoleLeafBatch) {
   // Both multipole leaves must be staged as cell batches and match the
-  // inline walk.
+  // scalar replay.
   const ParticleSet targets = sorted_cloud(100, 91);
   const std::vector<TreeNode> nodes = multipole_leaf_view();
   const TreeView view{nodes, {}, {}, {}, {}};
@@ -257,8 +266,7 @@ TEST(KernelBackend, MultipoleLeafBatch) {
   cfg.eps = 1e-2;
   ParticleSet inlined = targets;
   inlined.zero_forces();
-  const InteractionStats inline_stats =
-      traverse_groups(view, inlined, groups, cfg, /*self=*/false);
+  const InteractionStats inline_stats = scalar_walk(view, inlined, groups, cfg, /*self=*/false);
   EXPECT_EQ(inline_stats.p2c, 2 * targets.size());
   EXPECT_EQ(inline_stats.p2p, 0u);
 
@@ -364,13 +372,13 @@ TEST(KernelBackend, EmptyAndDegenerateWalks) {
   g.begin = g.end = 7;
   s.parts.zero_forces();
   const InteractionStats empty_stats = traverse_one_group_batched(
-      s.tree.view(s.parts), s.parts, g, cfg, /*self=*/true, queue);
+      WalkTree(s.tree.view(s.parts)), s.parts, g, cfg, /*self=*/true, queue);
   EXPECT_EQ(empty_stats.p2p + empty_stats.p2c, 0u);
   EXPECT_EQ(empty_stats.batches(), 0u);
 
   // Empty source view: no-op.
   const InteractionStats no_src = traverse_one_group_batched(
-      TreeView{}, s.parts, s.groups[0], cfg, /*self=*/true, queue);
+      WalkTree(TreeView{}), s.parts, s.groups[0], cfg, /*self=*/true, queue);
   EXPECT_EQ(no_src.batches(), 0u);
 
   // A single self-particle system: the only candidate pair is the masked
