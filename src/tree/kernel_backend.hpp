@@ -125,8 +125,12 @@ class InteractionQueue {
                   std::uint32_t target_end);
 
   // Stage the MAC-accepted cell src.nodes[node] (internal node or multipole
-  // leaf) against the current walk's target range.
-  void push_cell(std::uint32_t node);
+  // leaf) against the current walk's target range. Only the index is
+  // recorded here; the simd moments are converted in one pass per flush.
+  void push_cell(std::uint32_t node) {
+    if (ncell_ + nleaf_ >= capacity_) flush();
+    cell_node_[ncell_++] = node;
+  }
 
   // Stage an opened particle leaf's source particles against the current
   // walk's target range.
@@ -153,6 +157,7 @@ class InteractionQueue {
 
   void flush();
   void stage_targets();
+  void stage_cells();
   void grow_leaf_columns(std::size_t slots);
   void drain_cells();
   void drain_leaves();
@@ -174,8 +179,9 @@ class InteractionQueue {
   // particles in [0, nleaf_). Both backends record what they stage by index —
   // cells by node index, leaf particles by particle index — and the scalar
   // replay reads the double-precision source data through those indices. The
-  // simd backend additionally stages float SoA relative to centre_: cells as
-  // x y z m qxx qxy qxz qyy qyz qzz (Quadrupole::q order), leaves as x y z m.
+  // simd backend additionally stages float SoA relative to centre_: leaves
+  // as x y z m when pushed, cells as x y z m qxx qxy qxz qyy qyz qzz
+  // (Quadrupole::q order) when flushed.
   std::size_t ncell_ = 0, nleaf_ = 0, leaf_slots_ = 0;
   Column<std::uint32_t> cell_node_, leaf_part_;
   std::array<Column<float>, 10> fcell_;

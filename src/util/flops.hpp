@@ -8,8 +8,8 @@
 // dividing by execution time, as the paper does (force-only flops).
 //
 // Since the batched interaction-list engine (PR 7), counts come in two
-// flavours: *useful* interactions (the physics: what the inline reference
-// walk would have evaluated, self-pairs excluded) and *padded* interactions
+// flavours: *useful* interactions (the physics: every target against every
+// staged source, self-pairs excluded) and *padded* interactions
 // (every lane the device actually burned, including SIMD padding lanes and
 // masked self-pairs). Gflop/s figures are derived from useful flops so
 // padding can never inflate the reported rate; the padded count is reported
@@ -44,11 +44,11 @@ struct InteractionStats {
   std::uint64_t p2c = 0;  // useful particle-cell (multipole) interactions
 
   // Lanes actually evaluated: useful plus SIMD padding and masked self-pairs.
-  // The inline walk and the scalar backend pad nothing (padded == useful).
+  // The scalar backend pads nothing (padded == useful).
   std::uint64_t p2p_padded = 0;
   std::uint64_t p2c_padded = 0;
 
-  // Drained interaction-list batches (zero for the inline reference walk).
+  // Drained interaction-list batches.
   std::uint64_t pp_batches = 0;
   std::uint64_t pc_batches = 0;
 
