@@ -546,7 +546,7 @@ std::vector<WalkCase> walk_cases() {
   std::vector<WalkCase> cases;
   cases.push_back(self_case("plummer-self", 2048, 1e-2, true, InteractionQueue::kDefaultCapacity));
   cases.push_back(self_case("plummer-self-eps0", 1024, 0.0, true, InteractionQueue::kDefaultCapacity));
-  cases.push_back(self_case("capacity-4", 1024, 1e-2, true, 4));
+  cases.push_back(self_case("capacity-4-eps0", 1024, 0.0, true, 4));
   cases.push_back(self_case("monopole-only", 1024, 1e-2, false, InteractionQueue::kDefaultCapacity));
   {
     WalkCase c;
@@ -635,6 +635,9 @@ TEST(WalkReference, ProductionWalkMatchesStatsAndForcesBitwise) {
         EXPECT_TRUE(same_bits(got.ay, want.ay));
         EXPECT_TRUE(same_bits(got.az, want.az));
         EXPECT_TRUE(same_bits(got.pot, want.pot));
+        // Unsoftened self walks stay finite only if every self-pair is masked.
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_TRUE(std::isfinite(got.pot[i]) && std::isfinite(norm(got.acc(i)))) << i;
       }
     }
   }
