@@ -122,7 +122,9 @@ template <class D>
 
 template <class D>
 [[gnu::always_inline]] inline D broadcast(double x) {
-  return D{} + x;
+  D v;
+  for (std::size_t l = 0; l < sizeof(D) / sizeof(double); ++l) v[l] = x;
+  return v;
 }
 
 // std::max({lo - p, 0.0, p - hi}) lane by lane: the first of the largest.
