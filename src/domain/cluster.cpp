@@ -118,13 +118,9 @@ void fill_energy(const ParticleSet& parts, wire::StepResult& sr) {
 }  // namespace
 
 ClusterSimulation::ClusterSimulation(const ClusterConfig& cfg) : cfg_(cfg) {
-  BNS_CHECK(cfg_.sim.nranks >= 1);
-  BNS_CHECK(cfg_.sim.nranks <= 255, "LET forests fan out to at most 255 ranks");
   check_physics_config(cfg_.sim);
   sets_.resize(static_cast<std::size_t>(cfg_.sim.nranks));
   decomp_ = Decomposition::uniform(cfg_.sim.nranks);
-  migrate_net_ = std::make_unique<InProcTransport>(cfg_.sim.nranks);
-  migrate_rec_ = std::make_unique<TrafficRecordingTransport>(*migrate_net_);
 
   // Tracing is decided before any worker exists; workers inherit the flag
   // from the Config frame and enable their own process's tracer on receipt.
@@ -166,7 +162,6 @@ void ClusterSimulation::spawn_workers() {
   // Workers on this host partition it like in-process rank pipelines do.
   SimConfig tcfg = cfg_.sim;
   tcfg.threads_per_rank = cfg_.worker_threads;
-  tcfg.async = true;
   const std::size_t threads = threads_for(tcfg, std::thread::hardware_concurrency());
 
   const bool mesh = cfg_.topology == SocketTopology::kMesh;
@@ -217,31 +212,19 @@ ClusterSimulation::~ClusterSimulation() {
 void ClusterSimulation::init(ParticleSet global) {
   sets_.assign(sets_.size(), ParticleSet{});
   sets_[0] = std::move(global);
-  prev_gravity_seconds_.clear();
-  prev_rank_size_.clear();
   next_step_ = 0;
-  spmd_stepped_ = false;
-  spmd_particles_ = 0;
-  spmd_kinetic_ = spmd_potential_ = 0.0;
+  // The bootstrap split is the in-process driver's first domain update; its
+  // migration frames never touch the sockets (the coordinator owns every
+  // set here) and are not step traffic.
+  InProcTransport local(cfg_.sim.nranks);
   StepReport scratch;
   TimeBreakdown driver;
-  redistribute(scratch, driver);
-  migrate_rec_->take();  // the bootstrap scatter is not step traffic
-  // SPMD: the slices stay here until the first StepBegin ships them out;
-  // afterwards the workers own them for the rest of the run.
-  bootstrap_pending_ = cfg_.mode == ClusterMode::kSpmd;
-}
-
-void ClusterSimulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
-  DomainUpdate du = redistribute_sets(sets_, cfg_.sim, prev_gravity_seconds_,
-                                      prev_rank_size_, *migrate_rec_, report, driver_times);
-  bounds_ = du.bounds;
-  space_ = du.space;
-  decomp_ = std::move(du.decomp);
-}
-
-StepReport ClusterSimulation::step() {
-  return cfg_.mode == ClusterMode::kSpmd ? step_spmd() : step_hub();
+  decomp_ = redistribute_sets(sets_, cfg_.sim, {}, {}, local, scratch, driver).decomp;
+  bootstrap_pending_ = true;
+  const std::vector<const ParticleSet*> sets = set_pointers(sets_);
+  num_particles_ = scratch.num_particles;
+  kinetic_ = total_kinetic_energy(sets);
+  potential_ = total_potential_energy(sets);
 }
 
 std::vector<wire::StepResult> ClusterSimulation::recv_step_results(
@@ -300,86 +283,9 @@ std::vector<wire::StepResult> ClusterSimulation::recv_step_results(
   return results;
 }
 
-StepReport ClusterSimulation::step_hub() {
+StepReport ClusterSimulation::step() {
   StepReport report;
   report.step = next_step_++;
-  report.async = false;  // workers pipeline internally, but no lane model here
-  report.kernel = cfg_.sim.kernel;
-  WallTimer wall;
-
-  const std::size_t nranks = sets_.size();
-  TimeBreakdown driver_times;
-  std::vector<TimeBreakdown> rank_times(nranks);
-  TrafficRecordingTransport rec(*net_);
-
-  redistribute(report, driver_times);
-
-  std::vector<std::uint8_t> active(nranks, 0);
-  std::vector<AABB> boxes(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    active[r] = !sets_[r].empty();
-    if (active[r]) boxes[r] = sets_[r].bounds();
-  }
-
-  // Ship every worker its step inputs. The particle sets move out here and
-  // come back (with forces) in the results, so the coordinator never holds
-  // two copies. Inactive workers get an empty batch to keep the protocol
-  // uniform: every worker answers every step.
-  std::vector<std::int64_t> post_ns(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    wire::StepBegin sb;
-    sb.step = report.step;
-    sb.mode = wire::StepMode::kHub;
-    sb.bounds = bounds_;
-    sb.active = active;
-    sb.boxes = boxes;
-    sb.parts = std::move(sets_[r]);
-    trace::ScopedSpan span("cluster.post.step_begin", kCoordinatorRank, 0, report.step);
-    span.set_peer(static_cast<std::int64_t>(r));
-    WallTimer timer;
-    std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    wire::count_wire(report.metrics, "part", 1, frame.size(), timer.elapsed(), 0.0);
-    span.set_bytes(static_cast<std::int64_t>(frame.size()));
-    post_ns[r] = now_ns();
-    rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
-  }
-
-  std::vector<trace::Span> worker_spans;
-  std::vector<wire::StepResult> results = recv_step_results(rec, report, post_ns, worker_spans);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    sets_[r] = std::move(results[r].parts);
-    rank_times[r] = std::move(results[r].times);
-  }
-
-  prev_gravity_seconds_.assign(nranks, 0.0);
-  prev_rank_size_.assign(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    prev_gravity_seconds_[r] =
-        rank_times[r].get("Gravity local") + rank_times[r].get("Gravity remote");
-    prev_rank_size_[r] = sets_[r].size();
-  }
-
-  metrics::merge(report.metrics, rec.take());
-  metrics::merge(report.metrics, migrate_rec_->take());
-  metrics::merge(report.metrics, net_->take_routed());
-  fold_stage_times(report, driver_times, rank_times);
-  report.elapsed = wall.elapsed();
-  // drain_thread, not drain_all: in-process test workers drain their own
-  // buffers, which this driver must not steal from.
-  if (trace::Tracer::instance().enabled()) {
-    report.spans = trace::Tracer::instance().drain_thread();
-    report.spans.insert(report.spans.end(),
-                        std::make_move_iterator(worker_spans.begin()),
-                        std::make_move_iterator(worker_spans.end()));
-  }
-  metrics::merge(report.metrics, build_step_metrics(report));
-  return report;
-}
-
-StepReport ClusterSimulation::step_spmd() {
-  StepReport report;
-  report.step = next_step_++;
-  report.async = false;
   report.kernel = cfg_.sim.kernel;
   WallTimer wall;
 
@@ -429,23 +335,23 @@ StepReport ClusterSimulation::step_spmd() {
     if (agreed_bounds.empty()) {
       agreed_bounds = std::move(sr.boundaries);
     } else {
-      BNS_CHECK(agreed_bounds == sr.boundaries,
-                       "workers computed diverging decompositions");
+      BNS_CHECK(agreed_bounds == sr.boundaries, "workers computed diverging decompositions");
     }
   }
   report.num_particles = total;
   report.migrated = migrated;
   decomp_ = Decomposition::from_boundaries(std::move(agreed_bounds));
-  spmd_particles_ = total;
-  spmd_kinetic_ = kinetic;
-  spmd_potential_ = potential;
-  spmd_stepped_ = true;
+  num_particles_ = total;
+  kinetic_ = kinetic;
+  potential_ = potential;
 
   metrics::merge(report.metrics, rec.take());
   metrics::merge(report.metrics, net_->take_routed());
   TimeBreakdown driver_times;
   fold_stage_times(report, driver_times, rank_times);
   report.elapsed = wall.elapsed();
+  // drain_thread, not drain_all: in-process test workers drain their own
+  // buffers, which this driver must not steal from.
   if (trace::Tracer::instance().enabled()) {
     report.spans = trace::Tracer::instance().drain_thread();
     report.spans.insert(report.spans.end(),
@@ -457,51 +363,32 @@ StepReport ClusterSimulation::step_spmd() {
 }
 
 ParticleSet ClusterSimulation::gather() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) {
-    // Collect round-trip: each worker replies with its resident particles
-    // (forces included); worth O(N) only because gather is rare (validation,
-    // snapshots) rather than per-step protocol.
-    const std::size_t nranks = sets_.size();
-    wire::StepBegin sb;
-    sb.step = next_step_;
-    sb.mode = wire::StepMode::kCollect;
-    const std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    for (std::size_t r = 0; r < nranks; ++r)
-      net_->post(kCoordinatorRank, static_cast<int>(r), frame);
-    std::vector<ParticleSet> collected(nranks);
-    std::vector<std::uint8_t> seen(nranks, 0);
-    for (std::size_t i = 0; i < nranks; ++i) {
-      std::optional<std::vector<std::uint8_t>> reply = net_->recv(kCoordinatorRank);
-      BNS_CHECK(reply.has_value(), "a worker disconnected during gather (" +
-                                              net_->close_reason() + ")");
-      wire::ParticleBatch batch = wire::decode_particles(*reply);
-      BNS_CHECK(batch.src >= 0 && batch.src < static_cast<int>(nranks) &&
-                           !seen[static_cast<std::size_t>(batch.src)],
-                       "duplicate or out-of-range gather reply");
-      BNS_CHECK(batch.with_forces, "gather replies must carry forces");
-      seen[static_cast<std::size_t>(batch.src)] = 1;
-      collected[static_cast<std::size_t>(batch.src)] = std::move(batch.parts);
-    }
-    return gather_sorted(set_pointers(collected));
+  if (bootstrap_pending_) return gather_sorted(set_pointers(sets_));
+  // Collect round-trip: each worker replies with its resident particles
+  // (forces included); worth O(N) only because gather is rare (validation,
+  // snapshots) rather than per-step protocol.
+  const std::size_t nranks = sets_.size();
+  wire::StepBegin sb;
+  sb.step = next_step_;
+  sb.mode = wire::StepMode::kCollect;
+  const std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
+  for (std::size_t r = 0; r < nranks; ++r)
+    net_->post(kCoordinatorRank, static_cast<int>(r), frame);
+  std::vector<ParticleSet> collected(nranks);
+  std::vector<std::uint8_t> seen(nranks, 0);
+  for (std::size_t i = 0; i < nranks; ++i) {
+    std::optional<std::vector<std::uint8_t>> reply = net_->recv(kCoordinatorRank);
+    BNS_CHECK(reply.has_value(),
+              "a worker disconnected during gather (" + net_->close_reason() + ")");
+    wire::ParticleBatch batch = wire::decode_particles(*reply);
+    BNS_CHECK(batch.src >= 0 && batch.src < static_cast<int>(nranks) &&
+                  !seen[static_cast<std::size_t>(batch.src)],
+              "duplicate or out-of-range gather reply");
+    BNS_CHECK(batch.with_forces, "gather replies must carry forces");
+    seen[static_cast<std::size_t>(batch.src)] = 1;
+    collected[static_cast<std::size_t>(batch.src)] = std::move(batch.parts);
   }
-  return gather_sorted(set_pointers(sets_));
-}
-
-std::size_t ClusterSimulation::num_particles() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_particles_;
-  std::size_t n = 0;
-  for (const ParticleSet& p : sets_) n += p.size();
-  return n;
-}
-
-double ClusterSimulation::kinetic_energy() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_kinetic_;
-  return total_kinetic_energy(set_pointers(sets_));
-}
-
-double ClusterSimulation::potential_energy() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_potential_;
-  return total_potential_energy(set_pointers(sets_));
+  return gather_sorted(set_pointers(collected));
 }
 
 namespace {
@@ -524,28 +411,6 @@ void broadcast(Transport& out, int self, int nranks, metrics::Snapshot& booked,
   wire::count_wire(booked, "dom", peers, peers * frame.size(), timer.elapsed(), 0.0);
   for (int dst = 0; dst < nranks; ++dst)
     if (dst != self) out.post(self, dst, frame);
-}
-
-// The build + LET exchange + gravity + integration tail both worker modes
-// share, LET statistics and accounting copied into the step result — one
-// definition, so the hub and SPMD reports cannot drift.
-void run_let_gravity_phase(Rank& rank, const SimConfig& cfg, const sfc::KeySpace& space,
-                           FrameDemux& demux, Transport& out,
-                           const std::vector<std::uint8_t>& active,
-                           const std::vector<AABB>& boxes, LetChannelState& let_state,
-                           TimeBreakdown& times, wire::StepResult& sr) {
-  rank.build(space, cfg, times);
-  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
-  LetExchange let_net(let_net_view, active, &let_state);
-  std::size_t next_peer = 1;
-  RankStepStats out_stats =
-      run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
-  sr.let_cells = out_stats.let_cells;
-  sr.let_particles = out_stats.let_particles;
-  sr.local_stats = out_stats.local_stats;
-  sr.remote_stats = out_stats.remote_stats;
-  metrics::merge(sr.metrics, let_net.metrics(rank.id()));
-  rank.book_gravity_split(sr.metrics);
 }
 
 // The decentralized per-step domain update + migration + LET/gravity body of
@@ -724,8 +589,19 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   emit_phase("decomposition.migrate", phase_migrate_ns);
 
   // --- Build + LET exchange + gravity + integration: the exact same step
-  // body as the in-process lanes and the hub workers.
-  run_let_gravity_phase(rank, cfg, space, demux, out, active, boxes, let_state, times, sr);
+  // body as the in-process lanes.
+  rank.build(space, cfg, times);
+  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
+  LetExchange let_net(let_net_view, active, &let_state);
+  std::size_t next_peer = 1;
+  const RankStepStats stats =
+      run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
+  sr.let_cells = stats.let_cells;
+  sr.let_particles = stats.let_particles;
+  sr.local_stats = stats.local_stats;
+  sr.remote_stats = stats.remote_stats;
+  metrics::merge(booked, let_net.metrics(self));
+  rank.book_gravity_split(booked);
 
   st.prev_gravity_seconds =
       times.get("Gravity local") + times.get("Gravity remote");
@@ -758,7 +634,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
   BNS_CHECK(rank_id >= 0 && rank_id < cfg.nranks,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
-  cfg.async = true;
   if (cfg.trace) trace::Tracer::instance().set_enabled(true);
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
   SpmdState st;
@@ -808,26 +683,10 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
 
     wire::StepResult sr;
     sr.rank = rank_id;
-    if (sb.mode == wire::StepMode::kHub) {
-      // Hub: the coordinator computed the domain update; this worker runs
-      // the per-rank pipeline on the shipped batch and returns it.
-      BNS_CHECK(sb.active.size() == static_cast<std::size_t>(cfg.nranks));
-      const sfc::KeySpace space(sb.bounds, cfg.curve);
-      rank.parts() = std::move(sb.parts);
-      run_let_gravity_phase(rank, cfg, space, demux, out, sb.active, sb.boxes, let_state,
-                            times, sr);
-      // Energies and balance feedback stay coordinator-side in hub mode (it
-      // owns the returned sets); only the population count rides along.
-      sr.local_count = rank.parts().size();
-      sr.parts = std::move(rank.parts());
-    } else {
-      // SPMD: resident state, distributed domain update, peer migration.
-      if (sb.mode == wire::StepMode::kSpmdBootstrap) rank.parts() = std::move(sb.parts);
-      run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, times, sr);
-      fill_energy(rank.parts(), sr);
-      sr.local_count = rank.parts().size();
-      // sr.parts stays empty: the particles never leave this worker.
-    }
+    if (sb.mode == wire::StepMode::kSpmdBootstrap) rank.parts() = std::move(sb.parts);
+    run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, times, sr);
+    fill_energy(rank.parts(), sr);
+    sr.local_count = rank.parts().size();
     sr.times = times;
     metrics::merge(sr.metrics, out.take());
     if (cfg.trace) {

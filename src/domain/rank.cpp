@@ -8,20 +8,23 @@
 
 namespace bonsai::domain {
 
-std::string physics_config_error(double theta, double eps, double dt) {
+std::string physics_config_error(const SimConfig& cfg) {
   const auto reason = [](const char* field, const char* rule, double value) {
     std::ostringstream os;
     os << field << " must be " << rule << ", got " << value;
     return os.str();
   };
-  if (!std::isfinite(theta) || theta <= 0.0) return reason("theta", "finite and > 0", theta);
-  if (!std::isfinite(eps) || eps < 0.0) return reason("eps", "finite and >= 0", eps);
-  if (!std::isfinite(dt)) return reason("dt", "finite", dt);
+  if (cfg.nranks < 1 || cfg.nranks > 255)
+    return reason("nranks", "in [1, 255] (the wire addresses ranks in one byte)", cfg.nranks);
+  if (!std::isfinite(cfg.theta) || cfg.theta <= 0.0)
+    return reason("theta", "finite and > 0", cfg.theta);
+  if (!std::isfinite(cfg.eps) || cfg.eps < 0.0) return reason("eps", "finite and >= 0", cfg.eps);
+  if (!std::isfinite(cfg.dt)) return reason("dt", "finite", cfg.dt);
   return {};
 }
 
 void check_physics_config(const SimConfig& cfg) {
-  const std::string error = physics_config_error(cfg.theta, cfg.eps, cfg.dt);
+  const std::string error = physics_config_error(cfg);
   BNS_CHECK(error.empty(), error);
 }
 
@@ -42,7 +45,6 @@ void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown
     device_.compute_properties(parts_, tree_, cfg.theta);
     groups_ = make_groups(parts_, cfg.ncrit);
   }
-  box_ = parts_.empty() ? AABB{} : tree_.root().box;
 }
 
 InteractionStats Rank::gravity_local(const SimConfig& cfg, TimeBreakdown& times) {
@@ -53,11 +55,11 @@ InteractionStats Rank::gravity_local(const SimConfig& cfg, TimeBreakdown& times)
                                 /*self=*/true);
 }
 
-InteractionStats Rank::gravity_remote(const TreeView& forest, const SimConfig& cfg,
+InteractionStats Rank::gravity_remote(const TreeView& let, const SimConfig& cfg,
                                       TimeBreakdown& times) {
   ScopedTimer t(times, "Gravity remote");
-  if (parts_.empty() || forest.empty()) return {};
-  return device_.compute_forces(forest, parts_, groups_, cfg.traversal(),
+  if (parts_.empty() || let.empty()) return {};
+  return device_.compute_forces(let, parts_, groups_, cfg.traversal(),
                                 /*self=*/false);
 }
 

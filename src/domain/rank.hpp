@@ -1,9 +1,10 @@
 // One in-process "rank": the unit of the paper's parallelization. A rank
 // owns a particle slice (a contiguous Hilbert-key interval), its own Device,
-// its own octree and target groups, and per-stage timings. The multi-rank
-// Simulation orchestrates ranks the way the paper's MPI layer orchestrates
-// processes; swapping this emulation for real MPI/GPU backends changes the
-// transport, not the dataflow.
+// its own octree and target groups, and per-stage timings. Each of the
+// in-process Simulation's lanes and each socket worker process drives one
+// Rank, the way the paper's MPI processes each drive one GPU; swapping this
+// emulation for real MPI/GPU backends changes the transport, not the
+// dataflow.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +42,7 @@ struct SimConfig {
   std::size_t samples_per_rank = 4096;        // boundary-key samples per rank
   int snap_level = 8;                         // boundary snap (0 = off)
   std::size_t threads_per_rank = 0;           // 0: hardware threads / nranks
-  bool async = true;                          // overlapped per-rank pipeline;
-                                              // false = lockstep stage loop
+  bool async = true;  // unread, false rejected; deleted in the next benchmark change
   BalanceMode balance = BalanceMode::kCount;  // feedback balancing needs a
                                               // previous step's gravity times
   bool trace = false;                         // record spans (--trace); shipped
@@ -66,10 +66,12 @@ struct SimConfig {
   }
 };
 
-// Why `theta`, `eps` and `dt` cannot drive a simulation, naming the first
-// offending field, or empty when they can: all three finite, theta > 0 and
-// eps >= 0. Shared by the in-process and cluster drivers and by job submit.
-std::string physics_config_error(double theta, double eps, double dt);
+// Why `cfg` cannot drive a simulation, naming the first offending field, or
+// empty when it can: nranks in [1, 255] (Config, PeerDirectory, Snapshot and
+// JobSpec frames address ranks in one byte), theta, eps and dt finite,
+// theta > 0 and eps >= 0. Shared by the in-process and cluster drivers and
+// by job submit.
+std::string physics_config_error(const SimConfig& cfg);
 
 // Throws CheckError carrying physics_config_error's reason, if it has one.
 void check_physics_config(const SimConfig& cfg);
@@ -87,10 +89,6 @@ class Rank {
   const Octree& tree() const { return tree_; }
   std::span<const TargetGroup> groups() const { return groups_; }
 
-  // Tight AABB of the rank's particles (valid only when non-empty); this is
-  // the box remote ranks build LETs against.
-  const AABB& domain_box() const { return box_; }
-
   // Sort by SFC key, build the octree, compute multipoles/MAC radii and
   // target groups. Stage timings accumulate into `times` under the Table II
   // row names.
@@ -104,8 +102,8 @@ class Rank {
   // Forces from the rank's own tree (exact self-interactions skipped).
   InteractionStats gravity_local(const SimConfig& cfg, TimeBreakdown& times);
 
-  // Forces from the grafted forest of imported LETs.
-  InteractionStats gravity_remote(const TreeView& forest, const SimConfig& cfg,
+  // Forces from one imported LET.
+  InteractionStats gravity_remote(const TreeView& let, const SimConfig& cfg,
                                   TimeBreakdown& times);
 
   // Symplectic-Euler kick-drift using the freshly computed accelerations.
@@ -121,7 +119,6 @@ class Rank {
   ParticleSet parts_;
   Octree tree_;
   std::vector<TargetGroup> groups_;
-  AABB box_;
 };
 
 }  // namespace bonsai::domain

@@ -3,7 +3,7 @@
 // dependency graph — each rank's chain sort → build → properties → LET
 // exports → local gravity → remote gravity per arrived LET → integration,
 // with a remote-gravity task unable to start before its LET was sent — and
-// (b) under the old lockstep schedule with a global barrier after every
+// (b) under a lockstep schedule with a global barrier after every
 // stage (the sum of per-stage rank maxima). The ratio of the two is the
 // overlap efficiency the step report prints. Like the Gflop/s "parallel
 // model" elsewhere in the repo, this is computed from device-seconds, so it

@@ -107,13 +107,12 @@ std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads) {
   const std::size_t share =
       std::max<std::size_t>(1, hw / static_cast<std::size_t>(std::max(cfg.nranks, 1)));
   if (cfg.threads_per_rank == 0) return share;
-  return std::min(cfg.threads_per_rank, cfg.async ? share : hw);
+  return std::min(cfg.threads_per_rank, share);
 }
 
 Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
-  BNS_CHECK(cfg_.nranks >= 1);
-  BNS_CHECK(cfg_.nranks <= 255, "grafted LET forests fan out to at most 255 ranks");
   check_physics_config(cfg_);
+  BNS_CHECK(cfg_.async, "the lockstep schedule was removed: SimConfig::async must be true");
   const std::size_t threads = threads_for(cfg_, std::thread::hardware_concurrency());
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
@@ -235,7 +234,7 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
     // final forces are bitwise reproducible across runs, transports, and the
     // --let-cache setting (the differential bar CI compares against). LETs
     // arriving in order still overlap their walk with the remaining receives;
-    // no graft barrier — the walk accepts any self-contained TreeView.
+    // no barrier — the walk accepts any self-contained TreeView.
     std::vector<std::optional<wire::LetMessage>> pending(nranks);
     std::size_t next_walk = 1;
     const auto walk_ready = [&] {
@@ -286,7 +285,6 @@ void Simulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
 StepReport Simulation::step() {
   StepReport report;
   report.step = next_step_++;
-  report.async = cfg_.async;
   report.kernel = cfg_.kernel;
   WallTimer wall;
 
@@ -299,21 +297,16 @@ StepReport Simulation::step() {
   const std::size_t nranks = ranks_.size();
   TimeBreakdown driver_times;
   std::vector<TimeBreakdown> rank_times(nranks);
-  std::vector<LaneTimeline> lanes;
+  std::vector<LaneTimeline> lanes(nranks);
 
   redistribute(report, driver_times);
 
-  if (cfg_.async) {
-    lanes.resize(nranks);
-    step_async(report, rank_times, lanes);
-    const ScheduleModel model = model_schedule(lanes);
-    report.critical_path = model.critical_path;
-    report.sequential_model = model.sequential;
-    report.gravity_critical = model.gravity_critical;
-    report.gravity_sequential = model.gravity_sequential;
-  } else {
-    step_lockstep(report, rank_times);
-  }
+  run_lanes(report, rank_times, lanes);
+  const ScheduleModel model = model_schedule(lanes);
+  report.critical_path = model.critical_path;
+  report.sequential_model = model.sequential;
+  report.gravity_critical = model.gravity_critical;
+  report.gravity_sequential = model.gravity_sequential;
 
   // Feed measured gravity cost back into the next domain update.
   prev_gravity_seconds_.assign(nranks, 0.0);
@@ -352,8 +345,8 @@ void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
   }
 }
 
-void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                            std::vector<LaneTimeline>& lanes) {
+void Simulation::run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
+                           std::vector<LaneTimeline>& lanes) {
   const std::size_t nranks = ranks_.size();
 
   // The active set (senders and receivers of LETs) and every rank's domain
@@ -450,58 +443,6 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
     metrics::merge(report.metrics, net.metrics(static_cast<int>(r)));
     ranks_[r]->book_gravity_split(report.metrics);
   }
-}
-
-void Simulation::step_lockstep(StepReport& report, std::vector<TimeBreakdown>& rank_times) {
-  const std::size_t nranks = ranks_.size();
-
-  for (std::size_t r = 0; r < nranks; ++r)
-    ranks_[r]->build(space_, cfg_, rank_times[r]);
-
-  // LET exchange through the same frame protocol as the async schedule:
-  // extraction is sender-side work, decoding + grafting receiver-side.
-  std::vector<std::uint8_t> active(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) active[r] = !ranks_[r]->parts().empty();
-  LetExchange net(*transport_, active, &let_state_);
-  for (std::size_t src = 0; src < nranks; ++src) {
-    if (!active[src]) continue;
-    for (std::size_t dst = 0; dst < nranks; ++dst) {
-      if (dst == src || !active[dst]) continue;
-      WallTimer timer;
-      LetTree let = ranks_[src]->export_let(ranks_[dst]->domain_box());
-      rank_times[src].add("Exchange LET", timer.elapsed());
-      report.let_cells += let.num_cells();
-      report.let_particles += let.num_particles();
-      net.post(static_cast<int>(src), static_cast<int>(dst), let, 0.0);
-    }
-  }
-  std::vector<LetTree> forests(nranks);
-  for (std::size_t dst = 0; dst < nranks; ++dst) {
-    std::vector<LetTree> imported;
-    while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(dst)))
-      imported.push_back(std::move(msg->let));
-    if (imported.empty()) continue;
-    ScopedTimer t(rank_times[dst], "Exchange LET");
-    forests[dst] = graft_lets(imported, cfg_.theta);
-  }
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const metrics::Snapshot& booked = net.metrics(static_cast<int>(r));
-    rank_times[r].add("Wire encode", booked.counter("wire.let.encode_s"));
-    rank_times[r].add("Wire decode", booked.counter("wire.let.decode_s"));
-    metrics::merge(report.metrics, booked);
-  }
-
-  for (std::size_t r = 0; r < nranks; ++r) {
-    ranks_[r]->parts().zero_forces();
-    report.local_stats += ranks_[r]->gravity_local(cfg_, rank_times[r]);
-    report.remote_stats +=
-        ranks_[r]->gravity_remote(forests[r].view(), cfg_, rank_times[r]);
-    ranks_[r]->book_gravity_split(report.metrics);
-  }
-
-  if (cfg_.dt != 0.0)
-    for (std::size_t r = 0; r < nranks; ++r)
-      ranks_[r]->integrate(cfg_.dt, rank_times[r]);
 }
 
 ParticleSet gather_sorted(std::span<const ParticleSet* const> sets) {
@@ -650,7 +591,7 @@ void print_step_report(const StepReport& report, std::ostream& os) {
   print_traffic_by_type(m, "transport.routed", "routed via coordinator", os);
   print_let_histogram(m, os);
 
-  if (report.async) {
+  if (report.has_lane_model()) {
     os << "pipeline: critical path " << TextTable::num(report.critical_path * 1e3)
        << " ms vs " << TextTable::num(report.sequential_model * 1e3)
        << " ms lockstep stage-sum -> overlap efficiency "
@@ -697,7 +638,7 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
   for (const char* kind : {"let", "part", "dom"}) wire::count_wire(m, kind, 0, 0, 0.0, 0.0);
   m.gauges["step.num_particles"] = static_cast<double>(r.num_particles);
   m.gauges["step.elapsed_s"] = r.elapsed;
-  if (r.async) {
+  if (r.has_lane_model()) {
     m.gauges["schedule.critical_path_s"] = r.critical_path;
     m.gauges["schedule.sequential_model_s"] = r.sequential_model;
     m.gauges["schedule.gravity_critical_s"] = r.gravity_critical;
@@ -715,22 +656,20 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
                             std::ostream& os) {
   const auto flags = os.flags();
   const auto precision = os.precision(12);
-  os << "{\"schema\": 2,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 3,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
-     << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
+     << "\", \"balance\": \"" << info.balance
      << "\", \"kernel\": \"" << info.kernel
      << "\", \"kernel_isa\": \"" << kernel_isa_name(dispatched_kernel_isa())
-     << "\", \"async\": " << (info.async ? "true" : "false")
-     << ", \"let_cache\": " << (info.let_cache ? "true" : "false")
+     << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
      << ", \"wire_version\": " << info.wire_version << "},\n \"steps\": [";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const StepReport& r = reports[i];
     const InteractionStats stats = r.stats();
     const GravityRates rates = gravity_rates(r);
     os << (i == 0 ? "\n" : ",\n")
-       << "  {\"step\": " << r.step << ", \"async\": " << (r.async ? "true" : "false")
-       << ", \"num_particles\": " << r.num_particles << ", \"migrated\": " << r.migrated
+       << "  {\"step\": " << r.step << ", \"num_particles\": " << r.num_particles << ", \"migrated\": " << r.migrated
        << ", \"let_cells\": " << r.let_cells << ", \"let_particles\": " << r.let_particles
        << ",\n   \"elapsed_s\": " << r.elapsed
        << ", \"critical_path_s\": " << r.critical_path

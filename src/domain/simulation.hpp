@@ -7,22 +7,16 @@
 //   -> gravity: local tree walk + imported-LET walks
 //   -> integration
 //
-// Two schedules drive the ranks (SimConfig::async):
+// One schedule drives the ranks (§III-B3): one Executor lane per rank runs
+// the whole pipeline independently; LETs travel as serialized wire frames
+// through the byte Transport, and a rank walks the imported LETs as they
+// arrive (in fixed peer order) — local gravity is not a barrier, and no
+// rank waits for all imports first. The step report carries the modeled
+// critical path vs the lockstep stage-sum (overlap efficiency).
 //
-// * async (default, §III-B3): one Executor lane per rank runs the whole
-//   pipeline independently; LETs travel as serialized wire frames through
-//   the byte Transport, and a rank starts remote gravity on each imported
-//   LET as soon
-//   as it arrives — local gravity is not a barrier, and there is no global
-//   graft step. The step report carries the modeled critical path vs the
-//   lockstep stage-sum (overlap efficiency).
-// * lockstep (--no-async): every stage completes on all ranks before the
-//   next begins, with imported LETs grafted into one forest — the PR-1
-//   schedule, kept for differential testing.
-//
-// Per-stage timings are recorded per rank either way, so the report can show
-// the parallel-model wall-clock (max over ranks) and total device-seconds
-// (sum), the way Table II reports per-process times.
+// Per-stage timings are recorded per rank, so the report can show the
+// parallel-model wall-clock (max over ranks) and total device-seconds (sum),
+// the way Table II reports per-process times.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +42,6 @@ namespace bonsai::domain {
 // Everything one step produces, for printing and for tests.
 struct StepReport {
   int step = 0;
-  bool async = false;  // which schedule produced this report
   KernelBackend kernel = KernelBackend::kSimd;  // force backend of this step
   std::size_t num_particles = 0;
   std::uint64_t migrated = 0;       // particles that changed rank this step
@@ -59,9 +52,11 @@ struct StepReport {
   TimeBreakdown sum_times;  // per-stage sum over ranks (device-seconds)
   double elapsed = 0.0;     // actual wall-clock of the whole step
 
-  // Schedule model (async steps only; see schedule.hpp): the pipelined
-  // critical path vs the lockstep stage-sum over the rank-concurrent stages,
-  // and the same pair restricted to Exchange LET + Gravity local + remote.
+  // Schedule model (see schedule.hpp), from the in-process lanes' timelines:
+  // the pipelined critical path vs the lockstep stage-sum over the
+  // rank-concurrent stages, and the same pair restricted to Exchange LET +
+  // Gravity local + remote. All zero when the driver has no lane model (the
+  // cluster coordinator sees only its workers' stage totals).
   double critical_path = 0.0;
   double sequential_model = 0.0;
   double gravity_critical = 0.0;
@@ -92,6 +87,8 @@ struct StepReport {
 
   InteractionStats stats() const { return local_stats + remote_stats; }
 
+  bool has_lane_model() const { return critical_path > 0.0; }
+
   // How much faster the pipelined schedule completes than the lockstep one
   // (>= 1; ratio of modeled times).
   double overlap_efficiency() const {
@@ -102,14 +99,9 @@ struct StepReport {
 // Thread-budget policy for per-rank device pools: R rank pipelines partition
 // the host's `hardware_threads`, each receiving floor(hw/R) workers (minimum
 // 1 — hosts with fewer cores than ranks run oversubscribed but correct; a
-// 1-core host gives every rank exactly one worker). The default is the same
-// share in *both* schedules, even though lockstep ranks compute one at a
-// time: equal device sizes keep recorded device-seconds comparable between
-// the schedules (the differential-testing point of --no-async), and avoid
-// spawning R*hw mostly-idle workers at high rank counts. An explicit
-// cfg.threads_per_rank is clamped to the per-rank share in async mode
-// (concurrent pipelines must not oversubscribe each other) but only to hw in
-// lockstep mode, where widening a rank's pool to the whole host is safe.
+// 1-core host gives every rank exactly one worker). An explicit
+// cfg.threads_per_rank is clamped to that share: concurrent pipelines must
+// not oversubscribe each other.
 std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads);
 
 class Simulation {
@@ -154,16 +146,15 @@ class Simulation {
   // Domain update + particle exchange; records driver-level timings/counts.
   void redistribute(StepReport& report, TimeBreakdown& driver_times);
 
-  // The two step schedules; both leave valid forces on every rank and fill
-  // per-rank stage times. The async schedule also fills `lanes` for the
-  // pipeline model.
-  void step_async(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                  std::vector<LaneTimeline>& lanes);
-  void step_lockstep(StepReport& report, std::vector<TimeBreakdown>& rank_times);
+  // Runs every rank's pipeline on its Executor lane; leaves valid forces on
+  // every rank and fills per-rank stage times and `lanes` for the pipeline
+  // model.
+  void run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
+                 std::vector<LaneTimeline>& lanes);
 
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::unique_ptr<Executor> executor_;  // created on the first async step
+  std::unique_ptr<Executor> executor_;  // created on the first step
   // All inter-rank traffic (LET frames, particle batches) flows through the
   // recorder wrapped around this byte transport; swapping the backend for a
   // socket/MPI one changes no pipeline code (the out-of-process driver in
@@ -205,8 +196,8 @@ struct RankStepStats {
   InteractionStats local_stats, remote_stats;
 };
 
-// One rank's step body after tree build — the phase the in-process async
-// lanes and the socket workers must run identically for out-of-process runs
+// One rank's step body after tree build — the phase the in-process lanes and
+// the socket workers must run identically for out-of-process runs
 // to reproduce in-process forces: round-robin LET exports starting at
 // self+1, local gravity, remote gravity per arrived LET, integration, and
 // the wire stage rows (the LET accounting itself stays in `net`). `next_peer` advances past each successfully
@@ -231,7 +222,7 @@ void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
                       std::span<const TimeBreakdown> rank_times);
 
 // Render a StepReport as the per-stage timing table (Table II layout), plus
-// the pipeline/overlap lines for async steps.
+// the pipeline/overlap lines when the report carries a lane model.
 void print_step_report(const StepReport& report, std::ostream& os);
 
 // The physics and derived rows of a final report: step.* counts and gauges,
@@ -246,17 +237,15 @@ struct RunInfo {
   int ranks = 0;
   std::size_t num_particles = 0;
   double theta = 0.0;
-  std::string transport = "inproc";  // "inproc" | "socket"
+  std::string transport = "inproc";  // "inproc" | "socket" | "serve"
   std::string topology = "none";     // "none" | "star" | "mesh"
-  std::string cluster = "none";      // "none" | "hub" | "spmd"
   std::string balance = "count";     // "count" | "cost"
   std::string kernel = "simd";       // "scalar" | "simd"
-  bool async = true;
   bool let_cache = false;            // incremental LET exchange on?
   int wire_version = wire::kVersion;
 };
 
-// Emit reports as a JSON object {"schema": 2, "config": {...run metadata...},
+// Emit reports as a JSON object {"schema": 3, "config": {...run metadata...},
 // "steps": [...]} (the --bench trajectory format): per-stage max/sum seconds,
 // interaction counts, Gflop/s, the schedule model, and the step's metrics
 // block, which carries all wire, traffic and LET-size accounting.

@@ -504,13 +504,8 @@ void fields(Ar& ar, SimConfig& c) {
 
 template <class Ar>
 void fields(Ar& ar, StepBegin& sb) {
-  auto ranks = std::tie(sb.active, sb.boxes);
-  auto n = static_cast<std::uint32_t>(sb.active.size());
   ar(sb.step);
   ar.bounded(sb.mode, StepMode::kCollect, "unknown step mode");
-  ar(sb.bounds, n);
-  ar.resize(ranks, n, row_bytes(ranks), "rank count exceeds payload");
-  ar(ranks);
   int src = -1;
   particle_payload(ar, src, sb.parts, false, "step-begin batch must not carry forces");
 }
@@ -522,8 +517,6 @@ void fields(Ar& ar, StepResult& sr) {
   ar.sequence(sr.boundaries, "boundary count exceeds payload");
   ar(sr.metrics);
   ar.require(sr.metrics.gauges.empty(), "step-result metrics must not carry gauges");
-  int src = sr.rank;
-  particle_payload(ar, src, sr.parts, true, "step-result batch must carry forces");
 }
 
 template <class Ar>

@@ -57,18 +57,20 @@ namespace bonsai::domain::wire {
 // rejected. It also adds the worker's clock domain to the Trace frame.
 // Version 9 replaces StepResult's typed wire/traffic/LET-size/delta fields
 // with the worker's metrics Snapshot (counters and histograms only) and drops
-// the metric deltas from the Trace frame.
+// the metric deltas from the Trace frame. Version 10 drops the hub cluster
+// mode's StepBegin fields (key-space bounds, active set, domain boxes) and
+// StepResult's particle batch, and renumbers StepMode from 0.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 9;
+inline constexpr std::uint16_t kVersion = 10;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
   kLet = 1,        // one rank's LET for one remote rank
-  kParticles = 2,  // particle batch (hub migration cell, gather reply)
+  kParticles = 2,  // particle batch (in-process migration cell, gather reply)
   kHello = 3,      // worker -> coordinator: rank id + mesh listen port
   kConfig = 4,     // coordinator -> worker: simulation parameters
-  kStepBegin = 5,  // coordinator -> worker: step inputs (+ batch in hub mode)
-  kStepResult = 6, // worker -> coordinator: timings, stats (+ batch in hub mode)
+  kStepBegin = 5,  // coordinator -> worker: step trigger (+ bootstrap batch)
+  kStepResult = 6, // worker -> coordinator: timings, stats, energies
   kShutdown = 7,   // coordinator -> worker: exit cleanly; client -> job server:
                    // stop serving
   kBoundaries = 8, // SPMD allgather: one rank's local bounds/population/weight
@@ -246,27 +248,20 @@ int decode_peer_hello(std::span<const std::uint8_t> frame);
 std::vector<std::uint8_t> encode_config(const SimConfig& cfg);
 SimConfig decode_config(std::span<const std::uint8_t> frame);
 
-// What a StepBegin asks the worker to do (the hub/SPMD protocol selector).
+// What a StepBegin asks the worker to do.
 enum class StepMode : std::uint8_t {
-  kHub = 0,            // batch replaces worker state; bounds/active/boxes given
-  kSpmdBootstrap = 1,  // batch seeds the resident state, then run SPMD phases
-  kSpmdStep = 2,       // empty batch: step the resident state via SPMD phases
-  kCollect = 3,        // no step: reply with the resident particles (+forces)
+  kSpmdBootstrap = 0,  // batch seeds the resident state, then run SPMD phases
+  kSpmdStep = 1,       // empty batch: step the resident state via SPMD phases
+  kCollect = 2,        // no step: reply with the resident particles (+forces)
 };
 
-// Everything a worker needs to run one step. In hub mode the coordinator
-// fills everything: the global key-space bounds (raw, pre-inflation, so
-// KeySpace reconstructs bit-identically), the active set, every rank's
-// domain box, and the worker's particle batch. In SPMD modes the frame is a
-// bare step trigger (plus the bootstrap batch on the first step): workers
-// compute bounds/active/boxes themselves from Boundaries/KeySamples
+// The coordinator's per-step trigger: a bare step number and mode, plus the
+// worker's bootstrap batch on the first step. Workers compute the key space,
+// active set and domain boxes themselves from the Boundaries/KeySamples
 // allgathers.
 struct StepBegin {
   int step = 0;
-  StepMode mode = StepMode::kHub;
-  AABB bounds;
-  std::vector<std::uint8_t> active;
-  std::vector<AABB> boxes;
+  StepMode mode = StepMode::kSpmdStep;
   ParticleSet parts;
 };
 
@@ -317,10 +312,9 @@ std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet&
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame);
 
 // A worker's step output: per-stage timings, interaction/LET statistics,
-// the local population/energy summary, the worker's step accounting, and —
-// in hub mode only — the particle state with forces (SPMD workers keep their
-// particles resident and ship an empty batch). `boundaries` carries the
-// Decomposition an SPMD worker computed so the coordinator can cross-check
+// the local population/energy summary and the worker's step accounting —
+// never particles, which stay resident on the worker. `boundaries` carries
+// the Decomposition the worker computed so the coordinator can cross-check
 // that all workers derived the identical partition. `metrics` holds what the
 // worker booked this step (wire.*, let.delta.*, transport.post.* counters and
 // the let.size.bytes histogram); the coordinator merges the workers'
@@ -337,9 +331,8 @@ struct StepResult {
   double kinetic = 0.0;           // local kinetic-energy partial sum
   double potential = 0.0;         // local potential-energy partial sum
   TimeBreakdown times;
-  std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
+  std::vector<sfc::Key> boundaries;  // computed decomposition bounds
   metrics::Snapshot metrics;
-  ParticleSet parts;
 };
 
 std::vector<std::uint8_t> encode_step_result(const StepResult& sr);

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <span>
@@ -45,8 +46,6 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_option("curve", "NAME", "hilbert | morton (default hilbert)");
   cli.add_option("threads", "T", "threads per rank (default: hardware/ranks)");
   cli.add_option("seed", "S", "RNG seed (default 42)");
-  cli.add_switch("async", "overlapped per-rank pipeline (default)");
-  cli.add_switch("no-async", "lockstep stage loop (the PR-1 schedule, for diffing)");
   cli.add_option("balance", "M", "count | cost (feedback on measured gravity time)");
   cli.add_option("kernel", "B",
                  "scalar | simd: force backend draining the batched interaction "
@@ -68,9 +67,6 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_switch("validate", "compare forces vs 1-rank run and direct summation");
   cli.add_option("transport", "KIND",
                  "inproc | socket: where ranks live (default inproc)");
-  cli.add_option("cluster", "MODE",
-                 "hub | spmd: socket cluster style — coordinator-owned state "
-                 "vs resident particles + peer migration (default hub)");
   cli.add_option("topology", "T",
                  "star | mesh: worker frames routed via the coordinator vs "
                  "direct worker pair sockets (default star)");
@@ -240,6 +236,28 @@ int run_steps(SimT& sim, const bonsai::ParticleSet& initial, int steps,
   return write_trace(trace_path, reports) ? 0 : 2;
 }
 
+// --FLAG, one of `names` (default: the first); the error lists them all.
+std::string parse_choice(const bonsai::CommandLine& cli, const std::string& flag,
+                         std::initializer_list<const char*> names) {
+  const std::string value = cli.get(flag, *names.begin());
+  std::string listed;
+  for (const char* name : names) {
+    if (value == name) return value;
+    listed += std::string(listed.empty() ? "" : " or ") + name;
+  }
+  throw bonsai::CliError("--" + flag + ": expected " + listed + ", got '" + value + "'");
+}
+
+// --FLAG N, a count that must not be negative.
+std::int64_t parse_count(const bonsai::CommandLine& cli, const std::string& flag,
+                         std::int64_t fallback) {
+  const std::int64_t value = cli.get_int(flag, fallback);
+  if (value < 0)
+    throw bonsai::CliError("--" + flag + ": expected a count >= 0, got '" +
+                           std::to_string(value) + "'");
+  return value;
+}
+
 // Worker mode: --transport socket --rank-id K --coordinator HOST:PORT
 // [--topology mesh --listen-port P].
 int run_worker_mode(const bonsai::CommandLine& cli,
@@ -247,7 +265,7 @@ int run_worker_mode(const bonsai::CommandLine& cli,
   const auto [host, port] = parse_host_port(cli.get("coordinator", "127.0.0.1:0"),
                                             "--coordinator");
   const int rank_id = static_cast<int>(cli.get_int("rank-id", -1));
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 0));
+  const auto threads = static_cast<std::size_t>(parse_count(cli, "threads", 0));
   const std::int64_t listen_port = cli.get_int("listen-port", 0);
   if (listen_port < 0 || listen_port > 65535)
     throw bonsai::CliError("--listen-port: expected 0-65535, got '" +
@@ -378,7 +396,7 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.name = cli.get("job-name", "");
     spec.n = static_cast<std::uint64_t>(cli.get_int("n", 16384));
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-    spec.steps = static_cast<std::int32_t>(cli.get_int("steps", 4));
+    spec.steps = static_cast<std::int32_t>(parse_count(cli, "steps", 4));
     spec.ranks = static_cast<std::int32_t>(cli.get_int("job-ranks", 0));
     spec.priority = static_cast<std::int32_t>(cli.get_int("priority", 0));
     spec.theta = cli.get_double("theta", 0.4);
@@ -420,24 +438,10 @@ int main(int argc, char** argv) {
     if (cli.has("serve")) return run_serve_mode(cli);
     if (cli.has("server")) return run_client_mode(cli);
 
-    const std::string transport = cli.get("transport", "inproc");
-    if (transport != "inproc" && transport != "socket")
-      throw bonsai::CliError("--transport: expected inproc or socket, got '" + transport +
-                             "'");
+    const std::string transport = parse_choice(cli, "transport", {"inproc", "socket"});
     const bool socket_mode = transport == "socket";
 
-    const std::string cluster = cli.get("cluster", "hub");
-    if (cluster != "hub" && cluster != "spmd")
-      throw bonsai::CliError("--cluster: expected hub or spmd, got '" + cluster + "'");
-    if (cli.has("cluster") && !socket_mode)
-      throw bonsai::CliError(
-          "--cluster applies to --transport socket (in-process ranks are "
-          "already resident)");
-
-    const std::string topology_str = cli.get("topology", "star");
-    if (topology_str != "star" && topology_str != "mesh")
-      throw bonsai::CliError("--topology: expected star or mesh, got '" + topology_str +
-                             "'");
+    const std::string topology_str = parse_choice(cli, "topology", {"star", "mesh"});
     if (cli.has("topology") && !socket_mode)
       throw bonsai::CliError(
           "--topology applies to --transport socket (in-process ranks share "
@@ -462,25 +466,22 @@ int main(int argc, char** argv) {
     cfg.nleaf = static_cast<int>(cli.get_int("nleaf", bonsai::Octree::kDefaultNLeaf));
     cfg.ncrit = static_cast<int>(cli.get_int("ncrit", 64));
     cfg.dt = cli.get_double("dt", 1e-3);
-    cfg.threads_per_rank = static_cast<std::size_t>(cli.get_int("threads", 0));
-    cfg.curve = cli.get("curve", "hilbert") == "morton" ? bonsai::sfc::CurveType::kMorton
-                                                        : bonsai::sfc::CurveType::kHilbert;
-    cfg.async = cli.get_bool("async", true) && !cli.get_bool("no-async", false);
-    cfg.balance = cli.get("balance", "count") == "cost" ? bonsai::domain::BalanceMode::kCost
-                                                        : bonsai::domain::BalanceMode::kCount;
+    cfg.threads_per_rank = static_cast<std::size_t>(parse_count(cli, "threads", 0));
+    cfg.curve = parse_choice(cli, "curve", {"hilbert", "morton"}) == "morton"
+                    ? bonsai::sfc::CurveType::kMorton
+                    : bonsai::sfc::CurveType::kHilbert;
+    cfg.balance = parse_choice(cli, "balance", {"count", "cost"}) == "cost"
+                      ? bonsai::domain::BalanceMode::kCost
+                      : bonsai::domain::BalanceMode::kCount;
     cfg.kernel = parse_kernel(cli);
-    const std::string let_cache_str = cli.get("let-cache", "off");
-    if (let_cache_str != "off" && let_cache_str != "on")
-      throw bonsai::CliError("--let-cache: expected off or on, got '" + let_cache_str +
-                             "'");
-    cfg.let_cache = let_cache_str == "on";
+    cfg.let_cache = parse_choice(cli, "let-cache", {"off", "on"}) == "on";
     cfg.let_churn = cli.get_double("let-churn", 0.75);
     if (!(cfg.let_churn > 0.0 && cfg.let_churn <= 1.0))
       throw bonsai::CliError("--let-churn: expected a ratio in (0, 1]");
     const std::string bench_path = cli.get("bench", "");
     const std::string trace_path = cli.get("trace", "");
     cfg.trace = !trace_path.empty();
-    const auto steps = static_cast<int>(cli.get_int("steps", 4));
+    const auto steps = static_cast<int>(parse_count(cli, "steps", 4));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const bool validate = cli.get_bool("validate", false);
 
@@ -518,10 +519,8 @@ int main(int argc, char** argv) {
     info.theta = cfg.theta;
     info.transport = transport;
     info.topology = socket_mode ? topology_str : "none";
-    info.cluster = socket_mode ? cluster : "none";
     info.balance = cfg.balance == bonsai::domain::BalanceMode::kCost ? "cost" : "count";
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
-    info.async = cfg.async;
     info.let_cache = cfg.let_cache;
 
     std::cout << "bonsai_sim: n=" << n << " ranks=" << cfg.nranks << " theta=" << cfg.theta
@@ -529,15 +528,10 @@ int main(int argc, char** argv) {
               << " transport=" << transport
               << " kernel=" << bonsai::kernel_backend_name(cfg.kernel) << " ("
               << bonsai::kernel_isa_name(bonsai::dispatched_kernel_isa()) << ")"
-              << (cfg.async ? " schedule=async" : " schedule=lockstep")
               << (cfg.balance == bonsai::domain::BalanceMode::kCost ? " balance=cost" : "")
               << (cfg.let_cache ? " let-cache=on" : "") << "\n";
 
     if (socket_mode) {
-      if (!cfg.async)
-        throw bonsai::CliError(
-            "--no-async is in-process only: socket workers always run the "
-            "per-arrival async pipeline");
       const std::int64_t port = cli.get_int("port", 0);
       if (port < 0 || port > 65535)
         throw bonsai::CliError("--port: expected 0-65535, got '" +
@@ -549,16 +543,13 @@ int main(int argc, char** argv) {
       bonsai::domain::ClusterConfig ccfg;
       ccfg.sim = cfg;
       if (validate) ccfg.sim.dt = 0.0;  // forces-only comparison
-      ccfg.mode = cluster == "spmd" ? bonsai::domain::ClusterMode::kSpmd
-                                    : bonsai::domain::ClusterMode::kHub;
       ccfg.topology = topology;
       ccfg.port = static_cast<std::uint16_t>(port);
       ccfg.spawn_workers = !cli.get_bool("no-spawn", false);
       ccfg.program = argv[0];
       ccfg.worker_threads = cfg.threads_per_rank;
       bonsai::domain::ClusterSimulation sim(ccfg);
-      std::cout << "cluster: " << cluster << " (" << topology_str
-                << " topology) coordinator on 127.0.0.1:" << sim.port() << " driving "
+      std::cout << "cluster: " << topology_str << " topology, coordinator on 127.0.0.1:" << sim.port() << " driving "
                 << cfg.nranks << (ccfg.spawn_workers ? " spawned" : " external")
                 << " worker process(es)\n";
       if (validate)

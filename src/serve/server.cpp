@@ -72,7 +72,6 @@ domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   cfg.eps = spec.eps;
   cfg.dt = spec.dt;
   cfg.kernel = spec.kernel;
-  cfg.async = true;
   cfg.threads_per_rank = 1;
   cfg.balance = domain::BalanceMode::kCount;
   return cfg;
@@ -248,7 +247,8 @@ void JobServer::handle_client(FrameSocket sock) {
 
 wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
   const std::string non_finite = find_non_finite(spec.parts);  // scanned outside the lock
-  const std::string bad_physics = domain::physics_config_error(spec.theta, spec.eps, spec.dt);
+  // The scheduler sizes the job's ranks later, always within [1, 255].
+  const std::string bad_physics = domain::physics_config_error(job_sim_config(1, spec));
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t n = spec.parts.size() > 0 ? spec.parts.size() : spec.n;
 
@@ -563,10 +563,8 @@ void JobServer::write_job_bench(const Job& job) {
   info.theta = job.spec.theta;
   info.transport = "serve";
   info.topology = "none";
-  info.cluster = "serve";
   info.balance = cfg.balance == domain::BalanceMode::kCost ? "cost" : "count";
   info.kernel = kernel_backend_name(cfg.kernel);
-  info.async = cfg.async;
   const std::string path = cfg_.bench_dir + "/job-" + std::to_string(job.id) + ".json";
   std::ofstream out(path);
   if (!out) {

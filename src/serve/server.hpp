@@ -77,7 +77,7 @@ metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id);
 
 // The Simulation config a job runs with on `ranks` slots: the async
 // pipeline, one thread per rank (threads_for gives 1 on any host, so a slot
-// is one core) and count balancing. It is deterministic: async ranks walk
+// is one core) and count balancing. It is deterministic: ranks walk
 // imported LETs in fixed source order, and count cuts depend only on the
 // particles, not on timings (cost cuts would), so a job preempted to disk and
 // restored into a fresh Simulation with this same config continues

@@ -119,10 +119,7 @@ inline std::vector<std::uint8_t> seed_frame(wire::FrameType type) {
     case wire::FrameType::kStepBegin: {
       wire::StepBegin sb;
       sb.step = 4;
-      sb.mode = wire::StepMode::kHub;
-      sb.bounds = {{-1, -1, -1}, {1, 1, 1}};
-      sb.active = {1, 1};
-      sb.boxes = {AABB{{-1, -1, -1}, {0, 0, 0}}, AABB{{0, 0, 0}, {1, 1, 1}}};
+      sb.mode = wire::StepMode::kSpmdBootstrap;
       sb.parts = parts;
       return wire::encode_step_begin(sb);
     }

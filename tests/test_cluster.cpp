@@ -1,5 +1,5 @@
-// Cluster-mode correctness: the hub and SPMD socket drivers against the
-// in-process Simulation. Workers run as in-process threads speaking the real
+// Cluster correctness: the SPMD socket driver against the in-process
+// Simulation. Workers run as in-process threads speaking the real
 // socket protocol (the on_listen seam hands them the coordinator's ephemeral
 // port), so these tests exercise the genuine wire path — demux, allgathers,
 // peer migration, LET routing — without fixed ports or child processes.
@@ -24,7 +24,6 @@ namespace bonsai {
 namespace {
 
 using domain::ClusterConfig;
-using domain::ClusterMode;
 using domain::ClusterSimulation;
 using domain::SimConfig;
 namespace metrics = bonsai::metrics;
@@ -40,11 +39,10 @@ struct WorkerPool {
   }
 };
 
-ClusterConfig cluster_config(const SimConfig& sim, ClusterMode mode, WorkerPool& pool,
+ClusterConfig cluster_config(const SimConfig& sim, WorkerPool& pool,
                              domain::SocketTopology topology = domain::SocketTopology::kStar) {
   ClusterConfig cfg;
   cfg.sim = sim;
-  cfg.mode = mode;
   cfg.topology = topology;
   cfg.spawn_workers = false;
   const int nranks = sim.nranks;
@@ -120,19 +118,30 @@ bool routed_any(const domain::StepReport& rep) {
 }
 
 TEST(ClusterSimulation, RejectsInvalidPhysicsConfigBeforeListening) {
-  ClusterConfig cfg;
-  cfg.sim.nranks = 2;
-  cfg.sim.eps = std::numeric_limits<double>::quiet_NaN();
-  cfg.spawn_workers = false;
-  bool listened = false;
-  cfg.on_listen = [&listened](std::uint16_t) { listened = true; };
-  try {
-    ClusterSimulation sim(cfg);
-    ADD_FAILURE() << "a NaN eps must not start a cluster";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("eps must be finite"), std::string::npos) << e.what();
+  // Neither a NaN softening nor a rank count the wire cannot address may
+  // bind a port; on_listen is also what would start the workers.
+  struct Bad {
+    int nranks;
+    double eps;
+    const char* reason;
+  };
+  for (const Bad& bad : {Bad{2, std::numeric_limits<double>::quiet_NaN(), "eps must be finite"},
+                         Bad{0, 1e-2, "nranks must be in [1, 255]"},
+                         Bad{256, 1e-2, "nranks must be in [1, 255]"}}) {
+    ClusterConfig cfg;
+    cfg.sim.nranks = bad.nranks;
+    cfg.sim.eps = bad.eps;
+    cfg.spawn_workers = false;
+    bool listened = false;
+    cfg.on_listen = [&listened](std::uint16_t) { listened = true; };
+    try {
+      ClusterSimulation sim(cfg);
+      ADD_FAILURE() << bad.reason << ": the cluster started";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.reason), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(listened) << bad.reason;
   }
-  EXPECT_FALSE(listened);
 }
 
 TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
@@ -145,7 +154,7 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
   const ParticleSet in_got = inproc.gather();
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   const domain::StepReport sp_rep = spmd.step();
   const ParticleSet sp_got = spmd.gather();
@@ -178,41 +187,26 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
 }
 
 TEST(ClusterSpmd, SteadyStateMigrationBytesAreSmallFractionOfHub) {
-  // A drifting Plummer sphere stepped in both cluster modes: after the
-  // bootstrap step, SPMD's Particles-class wire volume (migration cells plus
-  // the now particle-free StepBegin/StepResult frames) must collapse to a
-  // small fraction of hub mode's O(N) per-step batches.
+  // A drifting Plummer sphere: after the bootstrap step, the Particles-class
+  // wire volume (migration cells plus the particle-free StepBegin/StepResult
+  // frames) must stay a small fraction of shipping the whole population,
+  // which the coordinator-owned hub mode did every step (over n * 100
+  // bytes). Resident workers ship only boundary crossers once warm.
   const std::size_t n = 1000;
   const ParticleSet global = make_plummer(n, 5);
   SimConfig cfg = forces_only_config(2);
   cfg.dt = 1e-3;
 
-  std::vector<domain::StepReport> hub_reps, spmd_reps;
-  {
-    WorkerPool pool;
-    ClusterSimulation hub(cluster_config(cfg, ClusterMode::kHub, pool));
-    hub.init(global);
-    for (int s = 0; s < 3; ++s) hub_reps.push_back(hub.step());
-  }
-  {
-    WorkerPool pool;
-    ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
-    spmd.init(global);
-    for (int s = 0; s < 3; ++s) spmd_reps.push_back(spmd.step());
-  }
+  std::vector<domain::StepReport> spmd_reps;
+  WorkerPool pool;
+  ClusterSimulation spmd(cluster_config(cfg, pool));
+  spmd.init(global);
+  for (int s = 0; s < 3; ++s) spmd_reps.push_back(spmd.step());
 
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(hub_reps[s].num_particles, n);
-    EXPECT_EQ(spmd_reps[s].num_particles, n);
-  }
-  // Hub ships every particle out and back every step; resident SPMD ships
-  // only boundary crossers once warm. The issue's acceptance bar is < 25%;
-  // in practice the ratio sits around 1%.
+  for (int s = 0; s < 3; ++s) EXPECT_EQ(spmd_reps[s].num_particles, n);
   for (int s = 1; s < 3; ++s) {
-    const double spmd_bytes = spmd_reps[s].metrics.counter("wire.part.bytes");
-    const double hub_bytes = hub_reps[s].metrics.counter("wire.part.bytes");
-    EXPECT_LT(spmd_bytes, hub_bytes / 4) << "step " << s;
-    EXPECT_GT(hub_bytes, static_cast<double>(n * 100));  // O(N) both directions
+    EXPECT_LT(spmd_reps[s].metrics.counter("wire.part.bytes"), static_cast<double>(n * 100) / 4)
+        << "step " << s;
   }
   // The domain allgathers are the price of decentralization: bounded by
   // samples, not by N.
@@ -226,7 +220,7 @@ TEST(ClusterSpmd, TrafficMatrixCoversTheProtocol) {
   const std::uint64_t nranks = 3;
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   spmd.step();
   const domain::StepReport rep = spmd.step();  // steady state
@@ -265,8 +259,7 @@ TEST(ClusterSpmdMesh, AccountsLikeInProcAsyncRanks) {
   domain::Simulation inproc(cfg);
   inproc.init(global);
   WorkerPool pool;
-  ClusterSimulation mesh(
-      cluster_config(cfg, ClusterMode::kSpmd, pool, domain::SocketTopology::kMesh));
+  ClusterSimulation mesh(cluster_config(cfg, pool, domain::SocketTopology::kMesh));
   mesh.init(global);
 
   const auto must_match = [](const std::string& name) {
@@ -308,7 +301,7 @@ TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
   cfg.dt = 2e-3;
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   std::uint64_t migrated_total = 0;
   for (int s = 0; s < 4; ++s) {
@@ -343,8 +336,7 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   const ParticleSet in_got = inproc.gather();
 
   WorkerPool pool;
-  ClusterSimulation mesh(
-      cluster_config(cfg, ClusterMode::kSpmd, pool, domain::SocketTopology::kMesh));
+  ClusterSimulation mesh(cluster_config(cfg, pool, domain::SocketTopology::kMesh));
   mesh.init(global);
   const domain::StepReport rep1 = mesh.step();
   const domain::StepReport rep2 = mesh.step();  // steady state
@@ -366,29 +358,6 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   EXPECT_FALSE(routed_any(rep2));
 }
 
-TEST(ClusterHubMesh, MatchesInProcForces) {
-  // Hub state model over the mesh fabric: only LETs travel peer-to-peer
-  // (migration is coordinator-local in hub mode), and none are routed.
-  const ParticleSet global = make_plummer(700, 3);
-  const SimConfig cfg = forces_only_config(2);
-
-  domain::Simulation inproc(cfg);
-  inproc.init(global);
-  inproc.step();
-  const ParticleSet in_got = inproc.gather();
-
-  WorkerPool pool;
-  ClusterSimulation hub(
-      cluster_config(cfg, ClusterMode::kHub, pool, domain::SocketTopology::kMesh));
-  hub.init(global);
-  const domain::StepReport rep = hub.step();
-  const ParticleSet hub_got = hub.gather();
-
-  expect_same_particles(hub_got, in_got);
-  EXPECT_GT(traffic_frames(rep, wire::FrameType::kLet), 0u);  // LETs did flow
-  EXPECT_FALSE(routed_any(rep));                              // just not through the hub
-}
-
 TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
   // Shutdown-broadcast race: rank 0 connects, says hello, then drops dead
   // before serving a single frame. The coordinator's teardown must still
@@ -402,7 +371,6 @@ TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
 
   ClusterConfig ccfg;
   ccfg.sim = cfg;
-  ccfg.mode = ClusterMode::kHub;
   ccfg.spawn_workers = false;
   ccfg.on_listen = [&pool, &exit_codes](std::uint16_t port) {
     pool.threads.emplace_back([port, &exit_codes] {
@@ -435,29 +403,6 @@ TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
   for (std::thread& t : pool.threads) t.join();
   EXPECT_EQ(exit_codes[1].load(), 0) << "rank 1 did not see Shutdown";
   EXPECT_EQ(exit_codes[2].load(), 0) << "rank 2 did not see Shutdown";
-}
-
-TEST(ClusterHub, StillMatchesInProcForces) {
-  // Differential guard: the hub driver must keep working unchanged next to
-  // the SPMD path (it shares the worker loop and the report plumbing).
-  const ParticleSet global = make_plummer(900, 3);
-  const SimConfig cfg = forces_only_config(2);
-
-  domain::Simulation inproc(cfg);
-  inproc.init(global);
-  inproc.step();
-  const ParticleSet in_got = inproc.gather();
-
-  WorkerPool pool;
-  ClusterSimulation hub(cluster_config(cfg, ClusterMode::kHub, pool));
-  hub.init(global);
-  const domain::StepReport rep = hub.step();
-  const ParticleSet hub_got = hub.gather();
-
-  expect_same_particles(hub_got, in_got);
-  // Hub mode's per-step Particles-class volume stays O(N): the StepBegin /
-  // StepResult frames carry the full population.
-  EXPECT_GT(rep.metrics.counter("wire.part.bytes"), static_cast<double>(global.size() * 100));
 }
 
 }  // namespace

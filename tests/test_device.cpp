@@ -175,12 +175,8 @@ TEST(ThreadsFor, ExplicitRequestClampedToConcurrencyBudget) {
   domain::SimConfig cfg;
   cfg.nranks = 4;
   cfg.threads_per_rank = 16;
-  cfg.async = true;
   EXPECT_EQ(domain::threads_for(cfg, 8), 2u);  // concurrent ranks: per-rank share
-  cfg.async = false;
-  EXPECT_EQ(domain::threads_for(cfg, 8), 8u);  // lockstep: one rank at a time
   cfg.threads_per_rank = 1;
-  cfg.async = true;
   EXPECT_EQ(domain::threads_for(cfg, 8), 1u);  // under-asking is honored
 }
 

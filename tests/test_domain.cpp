@@ -266,9 +266,8 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   EXPECT_EQ(let.num_particles(), 0u);
   EXPECT_FALSE(let.empty());  // a bare multipole still exerts force
 
-  // The grafted single-multipole forest reproduces the far field.
-  std::vector<LetTree> lets{let};
-  const LetTree forest = domain::graft_lets(lets, 0.4);
+  // Walked directly, as a rank walks each import, the single multipole
+  // reproduces the far field.
   ParticleSet targets;
   Xoshiro256 rng(33);
   for (int i = 0; i < 100; ++i)
@@ -280,7 +279,7 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   cfg.theta = 0.4;
   cfg.backend = KernelBackend::kScalar;
   InteractionQueue queue;
-  traverse_groups_batched(forest.view(), targets, groups, cfg, /*self=*/false, queue);
+  traverse_groups_batched(let.view(), targets, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = targets;
   ref.zero_forces();
@@ -311,8 +310,6 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   EXPECT_LT(let.num_particles(), left.size());
   EXPECT_LT(let.num_cells(), tree.nodes().size());
 
-  std::vector<LetTree> lets{let};
-  const LetTree forest = domain::graft_lets(lets, 0.4);
   right.zero_forces();
   auto groups = make_groups(right, 64);
   TraversalConfig cfg;
@@ -320,7 +317,7 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   cfg.eps = 1e-3;
   cfg.backend = KernelBackend::kScalar;
   InteractionQueue queue;
-  traverse_groups_batched(forest.view(), right, groups, cfg, /*self=*/false, queue);
+  traverse_groups_batched(let.view(), right, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = right;
   ref.zero_forces();
@@ -328,33 +325,21 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   EXPECT_LT(median_acc_error(right, ref), 1e-3);
 }
 
-TEST(Let, GraftOfEmptyLetsIsEmpty) {
-  EXPECT_TRUE(domain::graft_lets({}, 0.4).empty());
-  std::vector<LetTree> lets(3);  // default LetTrees have no nodes
-  EXPECT_TRUE(domain::graft_lets(lets, 0.4).empty());
-  EXPECT_TRUE(domain::graft_lets(lets, 0.4).view().empty());
-}
-
-// Both schedules must reproduce the global batched group walk (same kernel
-// backend as the Simulation default) bit-for-bit on one rank: no LETs exist,
-// so async adds only the executor lane around the same stage calls (the
-// "single-rank case under the async path" contract). Batches drain in group
+// One rank must reproduce the global batched group walk (same kernel backend
+// as the Simulation default) bit-for-bit: no LETs exist, so the pipeline adds
+// only the executor lane around the same stage calls. Batches drain in group
 // walk order regardless of which pool thread runs the group, so the serial
 // reference walk is bitwise comparable.
-class OneRankExactness : public ::testing::TestWithParam<bool> {};
-
-TEST_P(OneRankExactness, MatchesGlobalGroupWalkExactly) {
+TEST(OneRankExactness, MatchesGlobalGroupWalkExactly) {
   const ParticleSet global = make_plummer(1500, 23);
   SimConfig cfg;
   cfg.nranks = 1;
   cfg.theta = 0.4;
   cfg.eps = 1e-3;
   cfg.dt = 0.0;
-  cfg.async = GetParam();
   Simulation sim(cfg);
   sim.init(global);
   const domain::StepReport rep = sim.step();
-  EXPECT_EQ(rep.async, cfg.async);
   EXPECT_EQ(rep.let_cells, 0u);  // nothing to exchange with yourself
   const ParticleSet got = sim.gather();
 
@@ -369,11 +354,6 @@ TEST_P(OneRankExactness, MatchesGlobalGroupWalkExactly) {
     EXPECT_DOUBLE_EQ(got.pot[i], ref.pot[i]);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Schedules, OneRankExactness, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& pinfo) {
-                           return pinfo.param ? "Async" : "Lockstep";
-                         });
 
 TEST(Simulation, MultiRankForcesMatchSingleTreeAndDirect) {
   const ParticleSet global = make_plummer(3000, 19);
@@ -431,65 +411,28 @@ TEST(Simulation, DegenerateDistributionLeavesRanksEmpty) {
     EXPECT_NEAR(norm(got.acc(i) - ref.acc(i)), 0.0, 1e-6 * std::max(1.0, norm(ref.acc(i))));
 }
 
-TEST(Simulation, AsyncAndLockstepSchedulesAgree) {
-  // Differential test of the two step drivers on the same IC. The schedules
-  // are not bit-identical by design — async walks each imported LET
-  // separately while lockstep walks the grafted forest, whose synthetic root
-  // carries its own MAC — but both must sit on the same single-rank answer.
-  const ParticleSet global = make_plummer(3000, 67);
-  SimConfig cfg;
-  cfg.nranks = 4;
-  cfg.theta = 0.4;
-  cfg.eps = 1e-3;
-  cfg.dt = 0.0;
-
-  cfg.async = true;
-  Simulation async_sim(cfg);
-  async_sim.init(global);
-  const domain::StepReport async_rep = async_sim.step();
-  const ParticleSet async_got = async_sim.gather();
-
-  cfg.async = false;
-  Simulation lock_sim(cfg);
-  lock_sim.init(global);
-  const domain::StepReport lock_rep = lock_sim.step();
-  const ParticleSet lock_got = lock_sim.gather();
-
-  // Same decomposition, same LET traffic on both schedules.
-  EXPECT_EQ(async_rep.let_cells, lock_rep.let_cells);
-  EXPECT_EQ(async_rep.let_particles, lock_rep.let_particles);
-  EXPECT_LT(median_acc_error(async_got, lock_got), 1e-6);
-
-  const ParticleSet tree_ref = global_tree_forces(global, cfg.theta, cfg.eps);
-  EXPECT_LT(median_acc_error(async_got, tree_ref), 5e-4);
-  EXPECT_LT(median_acc_error(lock_got, tree_ref), 5e-4);
-}
-
 TEST(Simulation, StepMeasuresWalkAndDrainSplit) {
-  // Both schedules book the measured gravity split per step: device-seconds
-  // of tree walk + staging and of batch drains, each positive, neither more
-  // than the gravity stages' summed device time, and printed on the
-  // interactions line.
-  for (const bool async : {true, false}) {
-    SimConfig cfg;
-    cfg.nranks = 2;
-    cfg.async = async;
-    Simulation sim(cfg);
-    sim.init(make_plummer(4096, 71));
-    for (int s = 0; s < 2; ++s) {
-      const domain::StepReport rep = sim.step();
-      const double walk = rep.metrics.counter("gravity.walk_s");
-      const double drain = rep.metrics.counter("gravity.drain_s");
-      EXPECT_GT(walk, 0.0) << "async=" << async;
-      EXPECT_GT(drain, 0.0) << "async=" << async;
-      const double pool_threads = static_cast<double>(sim.rank(0).device().num_threads());
-      const double gravity =
-          rep.sum_times.get("Gravity local") + rep.sum_times.get("Gravity remote");
-      EXPECT_LE(walk + drain, gravity * pool_threads * 1.01 + 1e-3);
-      std::ostringstream os;
-      print_step_report(rep, os);
-      EXPECT_NE(os.str().find(" ms (device)"), std::string::npos);
-    }
+  // Every step books the measured gravity split: device-seconds of tree
+  // walk + staging and of batch drains, each positive, neither more than
+  // the gravity stages' summed device time, and printed on the interactions
+  // line.
+  SimConfig cfg;
+  cfg.nranks = 2;
+  Simulation sim(cfg);
+  sim.init(make_plummer(4096, 71));
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport rep = sim.step();
+    const double walk = rep.metrics.counter("gravity.walk_s");
+    const double drain = rep.metrics.counter("gravity.drain_s");
+    EXPECT_GT(walk, 0.0);
+    EXPECT_GT(drain, 0.0);
+    const double pool_threads = static_cast<double>(sim.rank(0).device().num_threads());
+    const double gravity =
+        rep.sum_times.get("Gravity local") + rep.sum_times.get("Gravity remote");
+    EXPECT_LE(walk + drain, gravity * pool_threads * 1.01 + 1e-3);
+    std::ostringstream os;
+    print_step_report(rep, os);
+    EXPECT_NE(os.str().find(" ms (device)"), std::string::npos);
   }
 }
 
@@ -499,12 +442,11 @@ TEST(Simulation, AsyncStepReportsScheduleModel) {
   cfg.theta = 0.4;
   cfg.eps = 1e-2;
   cfg.dt = 0.0;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(make_plummer(2000, 3));
   const domain::StepReport rep = sim.step();
 
-  ASSERT_TRUE(rep.async);
+  ASSERT_TRUE(rep.has_lane_model());
   EXPECT_GT(rep.critical_path, 0.0);
   EXPECT_GT(rep.sequential_model, 0.0);
   // Pipelining removes barrier wait but never adds work, so the modeled
@@ -512,14 +454,17 @@ TEST(Simulation, AsyncStepReportsScheduleModel) {
   EXPECT_LE(rep.critical_path, rep.sequential_model * (1.0 + 1e-9));
   EXPECT_LE(rep.gravity_critical, rep.gravity_sequential * (1.0 + 1e-9));
   EXPECT_GE(rep.overlap_efficiency(), 1.0);
+  const metrics::Snapshot m = build_step_metrics(rep);
+  EXPECT_EQ(m.gauges.at("schedule.critical_path_s"), rep.critical_path);
+  std::ostringstream os;
+  print_step_report(rep, os);
+  EXPECT_NE(os.str().find("pipeline: critical path"), std::string::npos);
 
-  // Lockstep steps don't model a schedule.
-  cfg.async = false;
-  Simulation lock(cfg);
-  lock.init(make_plummer(2000, 3));
-  const domain::StepReport lock_rep = lock.step();
-  EXPECT_FALSE(lock_rep.async);
-  EXPECT_EQ(lock_rep.critical_path, 0.0);
+  // A report without a lane model (the cluster coordinator's) prints and
+  // books no schedule.
+  domain::StepReport bare;
+  EXPECT_FALSE(bare.has_lane_model());
+  EXPECT_EQ(build_step_metrics(bare).gauges.count("schedule.critical_path_s"), 0u);
 }
 
 TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
@@ -531,16 +476,16 @@ TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
   cfg.nranks = 4;
   cfg.ncrit = 0;
   cfg.dt = 0.0;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(make_plummer(200, 9));
   EXPECT_THROW(sim.step(), std::exception);
 }
 
 TEST(Simulation, RejectsInvalidPhysicsConfigNamingTheField) {
-  // A NaN or negative softening, a non-finite step or a non-positive opening
-  // angle must fail at construction with the field's name, not run to NaN
-  // energies (or, for eps < 0, silently as |eps|).
+  // A NaN or negative softening, a non-finite step, a non-positive opening
+  // angle or a rank count the wire cannot address must fail at construction
+  // with the field's name, not run to NaN energies (or, for eps < 0,
+  // silently as |eps|).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const auto reason = [](const SimConfig& cfg) -> std::string {
@@ -554,22 +499,40 @@ TEST(Simulation, RejectsInvalidPhysicsConfigNamingTheField) {
   SimConfig ok;
   ok.nranks = 2;
   EXPECT_EQ(reason(ok), "");
-  EXPECT_EQ(domain::physics_config_error(ok.theta, 0.0, -1e-3), "");  // eps 0, dt < 0 run
+  SimConfig edge = ok;
+  edge.nranks = 255;
+  edge.eps = 0.0;
+  edge.dt = -1e-3;
+  EXPECT_EQ(domain::physics_config_error(edge), "");  // 255 ranks, eps 0, dt < 0 run
   struct Bad {
+    int nranks;
     double theta, eps, dt;
     const char* field;
   };
-  for (const Bad& bad : {Bad{nan, 1e-2, 1e-3, "theta"}, Bad{0.0, 1e-2, 1e-3, "theta"},
-                         Bad{-inf, 1e-2, 1e-3, "theta"}, Bad{0.4, nan, 1e-3, "eps"},
-                         Bad{0.4, -1.0, 1e-3, "eps"}, Bad{0.4, 1e-2, nan, "dt"},
-                         Bad{0.4, 1e-2, inf, "dt"}}) {
+  for (const Bad& bad :
+       {Bad{0, 0.4, 1e-2, 1e-3, "nranks"}, Bad{256, 0.4, 1e-2, 1e-3, "nranks"},
+        Bad{2, nan, 1e-2, 1e-3, "theta"}, Bad{2, 0.0, 1e-2, 1e-3, "theta"},
+        Bad{2, -inf, 1e-2, 1e-3, "theta"}, Bad{2, 0.4, nan, 1e-3, "eps"},
+        Bad{2, 0.4, -1.0, 1e-3, "eps"}, Bad{2, 0.4, 1e-2, nan, "dt"},
+        Bad{2, 0.4, 1e-2, inf, "dt"}}) {
     SimConfig cfg = ok;
+    cfg.nranks = bad.nranks;
     cfg.theta = bad.theta;
     cfg.eps = bad.eps;
     cfg.dt = bad.dt;
     EXPECT_NE(reason(cfg).find(std::string("— ") + bad.field + " must be"), std::string::npos)
         << bad.field << ": " << reason(cfg);
   }
+  SimConfig wide = ok;
+  wide.nranks = 256;
+  EXPECT_NE(reason(wide).find("addresses ranks in one byte"), std::string::npos)
+      << reason(wide);
+
+  // The removed lockstep schedule is refused by name, not run as async.
+  SimConfig lockstep = ok;
+  lockstep.async = false;
+  EXPECT_NE(reason(lockstep).find("the lockstep schedule was removed"), std::string::npos)
+      << reason(lockstep);
 }
 
 TEST(Simulation, ZeroParticlesUnderAsyncPath) {
@@ -577,7 +540,6 @@ TEST(Simulation, ZeroParticlesUnderAsyncPath) {
   cfg.nranks = 4;
   cfg.theta = 0.4;
   cfg.dt = 1e-3;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(ParticleSet{});
   for (int s = 0; s < 2; ++s) {
@@ -612,7 +574,7 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"config\": {\"ranks\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"transport\": \"inproc\""), std::string::npos);
   EXPECT_NE(json.find("\"wire_version\": "), std::string::npos);
@@ -627,7 +589,8 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
   // The accounting lives in the metrics block alone: no legacy blocks.
-  for (const char* legacy : {"\"wire\":", "\"traffic\":", "\"routed\":", "\"let_size_bytes\":"})
+  for (const char* legacy : {"\"wire\":", "\"traffic\":", "\"routed\":", "\"let_size_bytes\":",
+                             "\"async\":", "\"cluster\":"})
     EXPECT_EQ(json.find(legacy), std::string::npos) << legacy;
   // One "elapsed_s": per step — the key per-step trajectory tooling counts.
   std::size_t elapsed_keys = 0;

@@ -94,7 +94,7 @@ void expect_walkable(const LetTree& let) {
   }
 }
 
-TEST(LetDelta, WireVersionIsNine) { EXPECT_EQ(wire::kVersion, 9); }
+TEST(LetDelta, WireVersionIsTen) { EXPECT_EQ(wire::kVersion, 10); }
 
 TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   DriftingExporter source(512, 7);

@@ -94,54 +94,45 @@ TEST(Listener, CloseFromAnotherThreadUnblocksAccept) {
 }
 
 TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
-  // Two schedules: lockstep, and the async lanes every served job runs with.
-  domain::SimConfig lockstep;
-  lockstep.nranks = 3;
-  lockstep.async = false;
-  lockstep.threads_per_rank = 1;
-  lockstep.dt = 1e-3;
+  // The configuration every served job runs with.
   wire::JobSpec spec;
   spec.dt = 1e-3;
-  const domain::SimConfig job = serve::job_sim_config(3, spec);
-  ASSERT_TRUE(job.async);
+  const domain::SimConfig cfg = serve::job_sim_config(3, spec);
   // One slot is one core: a job's rank gets one device thread on any host.
   for (const std::size_t hw : {std::size_t{1}, std::size_t{3}, std::size_t{64},
                                std::size_t{std::thread::hardware_concurrency()}})
-    EXPECT_EQ(domain::threads_for(job, hw), 1u) << "hardware threads " << hw;
+    EXPECT_EQ(domain::threads_for(cfg, hw), 1u) << "hardware threads " << hw;
 
-  for (const domain::SimConfig& cfg : {lockstep, job}) {
-    SCOPED_TRACE(cfg.async ? "async job config" : "lockstep");
-    domain::Simulation sim(cfg);
-    sim.init(make_plummer(1024, 5));
-    sim.step();
-    sim.step();
+  domain::Simulation sim(cfg);
+  sim.init(make_plummer(1024, 5));
+  sim.step();
+  sim.step();
 
-    wire::SnapshotMsg snap;
-    snap.job_id = 7;
-    snap.next_step = sim.next_step();
-    snap.sets = sim.checkpoint_sets();
+  wire::SnapshotMsg snap;
+  snap.job_id = 7;
+  snap.next_step = sim.next_step();
+  snap.sets = sim.checkpoint_sets();
 
-    const std::string path = testing::TempDir() + "bonsai-ckpt-roundtrip.snap";
-    serve::write_snapshot_file(path, snap);
-    const wire::SnapshotMsg back = serve::read_snapshot_file(path);
-    EXPECT_EQ(back.job_id, 7);
-    EXPECT_EQ(back.next_step, 2);
-    ASSERT_EQ(back.sets.size(), 3u);
-    for (std::size_t r = 0; r < 3; ++r) {
-      expect_same_particles(back.sets[r], snap.sets[r]);
-      EXPECT_EQ(back.sets[r].key, snap.sets[r].key);
-    }
-
-    // Restoring the file into a fresh Simulation continues bit-for-bit with
-    // the original (same config, 1 thread per rank, count balance).
-    domain::Simulation restored(cfg);
-    restored.restore(back.sets, back.next_step);
-    sim.step();
-    restored.step();
-    expect_same_particles(restored.gather(), sim.gather());
-
-    EXPECT_THROW(serve::read_snapshot_file(path + ".missing"), std::runtime_error);
+  const std::string path = testing::TempDir() + "bonsai-ckpt-roundtrip.snap";
+  serve::write_snapshot_file(path, snap);
+  const wire::SnapshotMsg back = serve::read_snapshot_file(path);
+  EXPECT_EQ(back.job_id, 7);
+  EXPECT_EQ(back.next_step, 2);
+  ASSERT_EQ(back.sets.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    expect_same_particles(back.sets[r], snap.sets[r]);
+    EXPECT_EQ(back.sets[r].key, snap.sets[r].key);
   }
+
+  // Restoring the file into a fresh Simulation continues bit-for-bit with
+  // the original (same config, 1 thread per rank, count balance).
+  domain::Simulation restored(cfg);
+  restored.restore(back.sets, back.next_step);
+  sim.step();
+  restored.step();
+  expect_same_particles(restored.gather(), sim.gather());
+
+  EXPECT_THROW(serve::read_snapshot_file(path + ".missing"), std::runtime_error);
 }
 
 TEST(Snapshot, InitialConditionRejectsNonFiniteParticles) {

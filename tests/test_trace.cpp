@@ -334,7 +334,6 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
 
   domain::ClusterConfig cfg;
   cfg.sim = sim;
-  cfg.mode = domain::ClusterMode::kSpmd;
   cfg.topology = domain::SocketTopology::kMesh;
   cfg.spawn_workers = false;
   cfg.on_listen = [&pool](std::uint16_t port) {
