@@ -11,8 +11,10 @@
 // numbers use (§VI-A).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "device/thread_pool.hpp"
@@ -37,11 +39,15 @@ struct GravitySplit {
 
 class Device {
  public:
-  // `num_threads == 0` uses all hardware threads.
+  // `num_threads == 0` uses all hardware threads. The thread that calls a
+  // stage is one of them: a Device of T threads starts T - 1 pool workers
+  // (none for T = 1) and runs loop chunks on the caller as well.
   explicit Device(std::size_t num_threads = 0)
-      : pool_(std::make_unique<ThreadPool>(num_threads)) {}
+      : num_threads_(num_threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                                      : num_threads),
+        pool_(std::make_unique<ThreadPool>(num_threads_ - 1)) {}
 
-  std::size_t num_threads() const { return pool_->num_threads(); }
+  std::size_t num_threads() const { return num_threads_; }
   ThreadPool& pool() { return *pool_; }
 
   // Rank id stamped onto this device's trace spans (-1 = untagged).
@@ -49,8 +55,13 @@ class Device {
 
   // --- Pipeline stages (Table II rows) -----------------------------------
 
-  // "Sorting SFC": compute keys in parallel and sort the particle arrays.
+  // "Sorting SFC": compute keys in parallel and sort the particle arrays by
+  // (key, id).
   void sort_particles(ParticleSet& parts, const sfc::KeySpace& space);
+
+  // The same sort on keys the particles already hold (the exchange leaves
+  // every particle keyed through the step's key space).
+  void sort_keyed_particles(ParticleSet& parts);
 
   // "Tree-construction": build the octree over the sorted particles.
   void build_tree(const ParticleSet& parts, Octree& tree,
@@ -81,6 +92,7 @@ class Device {
   }
 
  private:
+  std::size_t num_threads_;
   std::unique_ptr<ThreadPool> pool_;
   int trace_rank_ = -1;
   std::int64_t walk_ns_ = 0, drain_ns_ = 0;

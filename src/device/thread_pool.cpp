@@ -2,20 +2,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
+#include <utility>
+
+#include "util/check.hpp"
 
 namespace bonsai {
 
 namespace {
 
-// Set for the duration of worker_loop so parallel_for can detect that it is
-// being re-entered from inside its own pool.
+// Set for the duration of worker_loop, and on a thread running chunks of a
+// parallel_for, so parallel_for can detect that it is being re-entered from
+// inside its own pool.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(num_threads);
   for (std::size_t t = 0; t < num_threads; ++t)
     workers_.emplace_back([this] { worker_loop(); });
@@ -31,6 +35,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  BNS_CHECK(!workers_.empty(), "a pool without workers cannot run submitted tasks");
   {
     std::lock_guard lock(mutex_);
     queue_.push(std::move(task));
@@ -59,24 +64,35 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  const std::size_t runners = num_threads() + 1;  // the workers and the caller
   if (chunk == 0) {
-    // ~4 chunks per worker balances load without excessive queue churn.
-    chunk = std::max<std::size_t>(1, n / (4 * num_threads() + 1));
+    // ~4 chunks per runner balances load without excessive queue churn.
+    chunk = std::max<std::size_t>(1, n / (4 * runners + 1));
   }
-  // Shared cursor: each worker grabs the next chunk until exhausted.
+  // Shared cursor: each runner grabs the next chunk until exhausted.
   auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t num_tasks = std::min(num_threads(), (n + chunk - 1) / chunk);
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([cursor, n, chunk, &fn] {
-      for (;;) {
-        const std::size_t begin = cursor->fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }
-    });
+  const auto run = [cursor, n, chunk, &fn] {
+    for (;;) {
+      const std::size_t begin = cursor->fetch_add(chunk);
+      if (begin >= n) return;
+      const std::size_t end = std::min(n, begin + chunk);
+      for (std::size_t i = begin; i < end; ++i) fn(i);
+    }
+  };
+  const std::size_t num_tasks = std::min(runners, (n + chunk - 1) / chunk);
+  for (std::size_t t = 1; t < num_tasks; ++t) submit(run);
+
+  std::exception_ptr error;
+  const ThreadPool* const outer = std::exchange(tls_worker_pool, this);
+  try {
+    run();
+  } catch (...) {
+    error = std::current_exception();
+    cursor->store(n);  // the workers stop at their next chunk
   }
+  tls_worker_pool = outer;
   wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

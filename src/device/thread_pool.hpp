@@ -18,8 +18,9 @@ namespace bonsai {
 
 class ThreadPool {
  public:
-  // `num_threads == 0` selects std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t num_threads = 0);
+  // Starts exactly `num_threads` workers. A pool without workers runs
+  // parallel_for inline and accepts no submitted tasks.
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -39,14 +40,17 @@ class ThreadPool {
   // Block until every submitted task has finished.
   void wait_idle();
 
-  // Run fn(i) for i in [0, n), dynamically chunked over the workers, and
-  // block until complete. fn must be safe to invoke concurrently.
+  // Run fn(i) for i in [0, n), dynamically chunked over the workers and the
+  // calling thread, which runs chunks too instead of sleeping, and block
+  // until complete. fn must be safe to invoke concurrently. An exception fn
+  // throws on the calling thread stops the loop and is rethrown once the
+  // workers are done; on a worker it terminates, like any task.
   //
   // Deadlock safety: when called from one of this pool's own worker threads
-  // (a nested parallel_for would block in wait_idle while occupying a thread
-  // the queue needs — guaranteed fatal on a one-worker pool, i.e. any 1-core
-  // host), or when the pool has no workers, the loop runs inline on the
-  // caller instead.
+  // or from inside another parallel_for of this pool (a nested parallel_for
+  // would block in wait_idle while occupying a thread the queue needs —
+  // guaranteed fatal on a one-worker pool, i.e. any 1-core host), or when
+  // the pool has no workers, the loop runs inline on the caller instead.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t chunk = 0);
 

@@ -57,9 +57,6 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double expor
         res.is_delta ? static_cast<double>(res.full_bytes - frame.size()) : 0.0;
     m.counters["let.delta.cache_hits"] += 0.0;
     m.counters["let.delta.invalidations"] += 0.0;
-  } else if (state_ != nullptr) {
-    frame = wire::encode_let_scratch({src, let, export_seconds, /*wire_bytes=*/0},
-                                     state_->scratch[static_cast<std::size_t>(src)]);
   } else {
     frame = wire::encode_let({src, let, export_seconds, /*wire_bytes=*/0});
   }

@@ -93,10 +93,10 @@ class Channel {
 // `send[src * nranks + dst]` is the exporter's mirror of what dst currently
 // holds of src's LET, `recv[dst * nranks + src]` the importer's actual copy
 // (a cluster worker only ever touches its own row of each). `scratch[src]`
-// is the per-source encode buffer whose capacity persists across steps, so
-// posting no longer grows a fresh vector every time. With `enabled` false
-// the scratch reuse still applies but every post ships a full frame and no
-// cache is consulted — the differential reference path.
+// is the per-source buffer a LetDelta patch is built in, whose capacity
+// persists across steps. With `enabled` false every post ships a full,
+// exactly sized Let frame and no cache is consulted — the differential
+// reference path.
 struct LetChannelState {
   bool enabled = false;
   double churn_ratio = 0.75;

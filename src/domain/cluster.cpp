@@ -219,7 +219,10 @@ void ClusterSimulation::init(ParticleSet global) {
   InProcTransport local(cfg_.sim.nranks);
   StepReport scratch;
   TimeBreakdown driver;
-  decomp_ = redistribute_sets(sets_, cfg_.sim, {}, {}, local, scratch, driver).decomp;
+  std::vector<TimeBreakdown> rank_times(sets_.size());
+  decomp_ = redistribute_sets(sets_, cfg_.sim, {}, {}, local, scratch, driver, rank_times,
+                              /*lanes=*/nullptr)
+                .decomp;
   bootstrap_pending_ = true;
   const std::vector<const ParticleSet*> sets = set_pointers(sets_);
   num_particles_ = scratch.num_particles;

@@ -1,8 +1,10 @@
 #include "domain/decomposition.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "domain/channel.hpp"
+#include "domain/executor.hpp"
 #include "domain/transport.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -161,99 +163,150 @@ DomainUpdate update_domain(std::span<const ParticleSet* const> rank_parts, int n
 
 namespace {
 
-// Append `from`'s particles to `to`, preserving the wire-carried SFC keys.
-void append_particles(ParticleSet& to, const ParticleSet& from) {
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    to.add(from.get(i));
-    to.key.back() = from.key[i];
+// Pass 1 of one source rank: key every particle through `space`, find its
+// owner, and gather the emigrants into one batch per destination, keys
+// riding along. `gone` lists the emigrants' indices in ascending order.
+struct Routing {
+  std::vector<std::uint32_t> gone;
+  std::vector<ParticleSet> batches;  // by destination; the own slot stays empty
+};
+
+Routing route(ParticleSet& parts, std::size_t self, const sfc::KeySpace& space,
+              const Decomposition& decomp) {
+  Routing out;
+  out.batches.resize(static_cast<std::size_t>(decomp.num_ranks()));
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    parts.key[i] = space.key(parts.pos(i));
+    const auto d = static_cast<std::size_t>(decomp.rank_of(parts.key[i]));
+    if (d == self) continue;
+    out.gone.push_back(static_cast<std::uint32_t>(i));
+    out.batches[d].add(parts.get(i));
+    out.batches[d].key.back() = parts.key[i];
   }
+  return out;
+}
+
+// Pass 2 of one destination rank: drop its emigrants and splice the
+// arrivals around its stayers — arrivals from lower source ranks, then the
+// stayers in order, then arrivals from higher ranks: the (source rank,
+// source index) order of the alltoallv. Each array is compacted and moved in
+// bulk, in place; keys ride along and forces are reset.
+void splice(ParticleSet& mine, std::size_t self, std::span<const std::uint32_t> gone,
+            std::span<const ParticleSet> arrived) {
+  std::size_t before = 0, after = 0;
+  for (std::size_t src = 0; src < arrived.size(); ++src)
+    (src < self ? before : after) += arrived[src].size();
+  const std::size_t stay = mine.size() - gone.size();
+  const std::size_t total = before + stay + after;
+  const auto column = [&](auto member) {
+    auto& v = mine.*member;
+    // Close the gaps the emigrants left, one run of stayers at a time.
+    auto out = v.begin() + (gone.empty() ? static_cast<std::ptrdiff_t>(stay) : gone[0]);
+    for (std::size_t k = 0; k < gone.size(); ++k) {
+      const auto next = k + 1 < gone.size() ? v.begin() + gone[k + 1] : v.end();
+      out = std::copy(v.begin() + gone[k] + 1, next, out);
+    }
+    if (v.capacity() < total) v.reserve(total);  // exactly: no growth slack
+    v.resize(total);
+    const auto stayers = v.begin() + static_cast<std::ptrdiff_t>(before);
+    std::copy_backward(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(stay),
+                       stayers + static_cast<std::ptrdiff_t>(stay));
+    auto at = v.begin();
+    for (std::size_t src = 0; src < arrived.size(); ++src) {
+      if (src == self) at = stayers + static_cast<std::ptrdiff_t>(stay);
+      const auto& from = arrived[src].*member;
+      at = std::copy(from.begin(), from.end(), at);
+    }
+  };
+  column(&ParticleSet::x);
+  column(&ParticleSet::y);
+  column(&ParticleSet::z);
+  column(&ParticleSet::vx);
+  column(&ParticleSet::vy);
+  column(&ParticleSet::vz);
+  column(&ParticleSet::mass);
+  column(&ParticleSet::id);
+  column(&ParticleSet::key);
+  for (auto* forces : {&mine.ax, &mine.ay, &mine.az, &mine.pot}) forces->assign(total, 0.0);
 }
 
 }  // namespace
 
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
-                       metrics::Snapshot* into) {
-  BNS_CHECK(static_cast<int>(rank_parts.size()) == decomp.num_ranks());
+                       metrics::Snapshot* into, Executor* lanes,
+                       std::span<TimeBreakdown> rank_times) {
   const auto nranks = static_cast<std::size_t>(decomp.num_ranks());
-  metrics::Snapshot unbooked;
-  metrics::Snapshot& m = into ? *into : unbooked;
+  BNS_CHECK(rank_parts.size() == nranks);
+  BNS_CHECK(lanes == nullptr || lanes->num_lanes() == nranks,
+            "the exchange runs one lane per rank");
+  BNS_CHECK(rank_times.empty() || rank_times.size() == nranks);
 
-  // Counting pre-pass (the alltoallv handshake): compute each particle's key
-  // and owner once, so destinations can reserve before any copy happens.
-  ExchangeStats stats;
-  std::vector<std::vector<int>> dest(nranks);
-  std::vector<std::size_t> counts(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    ParticleSet& parts = rank_parts[r];
-    dest[r].resize(parts.size());
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      parts.key[i] = space.key(parts.pos(i));
-      const int d = decomp.rank_of(parts.key[i]);
-      dest[r][i] = d;
-      ++counts[static_cast<std::size_t>(d)];
-      if (d != static_cast<int>(r)) ++stats.migrated;
+  // Both passes run per rank, on the rank lanes when given: every post of
+  // pass 1 is done before pass 2 starts, so no receive can block.
+  std::vector<Routing> routes(nranks);
+  std::vector<metrics::Snapshot> booked(nranks);
+  std::vector<double> seconds(nranks, 0.0);
+  const auto for_each_rank = [&](const std::function<void(std::size_t)>& pass) {
+    const auto timed = [&](std::size_t r) {
+      WallTimer timer;
+      pass(r);
+      seconds[r] += timer.elapsed();
+    };
+    if (lanes != nullptr) {
+      lanes->run_all(timed);
+    } else {
+      for (std::size_t r = 0; r < nranks; ++r) timed(r);
     }
-  }
+  };
 
   // Send side: every source posts one encoded emigrant batch per remote rank
   // (possibly empty — destinations count on exactly nranks-1 arrivals).
   // Stayers never touch the wire.
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const ParticleSet& parts = rank_parts[r];
-    std::vector<ParticleSet> batches(nranks);
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      const auto d = static_cast<std::size_t>(dest[r][i]);
-      if (d == r) continue;
-      batches[d].add(parts.get(i));
-      batches[d].key.back() = parts.key[i];
-    }
+  for_each_rank([&](std::size_t r) {
+    routes[r] = route(rank_parts[r], r, space, decomp);
     for (std::size_t d = 0; d < nranks; ++d) {
       if (d == r) continue;
       WallTimer timer;
       std::vector<std::uint8_t> frame =
-          wire::encode_particles(static_cast<int>(r), batches[d], /*with_forces=*/false);
-      wire::count_wire(m, "part", 1, frame.size(), timer.elapsed(), 0.0);
+          wire::encode_particles(static_cast<int>(r), routes[r].batches[d], /*with_forces=*/false);
+      wire::count_wire(booked[r], "part", 1, frame.size(), timer.elapsed(), 0.0);
       transport.post(static_cast<int>(r), static_cast<int>(d), std::move(frame));
     }
-  }
+    routes[r].batches = {};
+  });
 
   // Receive side: decode the nranks-1 expected batches (any arrival order —
-  // they are spliced by source rank afterwards) and interleave them with the
-  // destination's own stayers, reproducing the historical (source rank,
-  // source index) ordering exactly.
-  std::vector<ParticleSet> incoming(nranks);
-  for (std::size_t d = 0; d < nranks; ++d) {
+  // they are spliced by source rank afterwards) around the stayers.
+  for_each_rank([&](std::size_t d) {
     std::vector<ParticleSet> arrived(nranks);
     for (std::size_t k = 0; k + 1 < nranks; ++k) {
       std::optional<std::vector<std::uint8_t>> frame = transport.recv(static_cast<int>(d));
-      BNS_CHECK(frame.has_value(),
-                       "particle endpoint closed before all expected batches");
+      BNS_CHECK(frame.has_value(), "particle endpoint closed before all expected batches");
       WallTimer timer;
       wire::ParticleBatch batch = wire::decode_particles(*frame);
-      wire::count_wire(m, "part", 0, 0, 0.0, timer.elapsed());
+      wire::count_wire(booked[d], "part", 0, 0, 0.0, timer.elapsed());
       BNS_CHECK(batch.src >= 0 && batch.src < static_cast<int>(nranks) &&
-                           batch.src != static_cast<int>(d),
-                       "particle batch from an impossible source rank");
+                    batch.src != static_cast<int>(d),
+                "particle batch from an impossible source rank");
       BNS_CHECK(!batch.with_forces, "migration batches must travel force-free");
       arrived[static_cast<std::size_t>(batch.src)] = std::move(batch.parts);
     }
-    incoming[d].reserve(counts[d]);
-    for (std::size_t src = 0; src < nranks; ++src) {
-      if (src == d) {
-        const ParticleSet& own = rank_parts[d];
-        for (std::size_t i = 0; i < own.size(); ++i) {
-          if (static_cast<std::size_t>(dest[d][i]) != d) continue;
-          incoming[d].add(own.get(i));
-          incoming[d].key.back() = own.key[i];
-        }
-      } else {
-        append_particles(incoming[d], arrived[src]);
-      }
-    }
+    splice(rank_parts[d], d, routes[d].gone, arrived);
+  });
+
+  ExchangeStats stats;
+  for (std::size_t r = 0; r < nranks; ++r) {
+    stats.total += rank_parts[r].size();
+    stats.migrated += routes[r].gone.size();
+    if (into != nullptr) metrics::merge(*into, booked[r]);
+    if (rank_times.empty()) continue;
+    const double encode_s = booked[r].counter("wire.part.encode_s");
+    const double decode_s = booked[r].counter("wire.part.decode_s");
+    rank_times[r].add("Exchange particles", std::max(0.0, seconds[r] - encode_s - decode_s));
+    rank_times[r].add("Wire encode", encode_s);
+    rank_times[r].add("Wire decode", decode_s);
   }
-  for (const ParticleSet& in : incoming) stats.total += in.size();
-  rank_parts.swap(incoming);
   return stats;
 }
 
@@ -270,28 +323,15 @@ ExchangeStats exchange_resident(ParticleSet& mine, int self, const sfc::KeySpace
   const auto r = static_cast<std::size_t>(self);
   BNS_CHECK(r < nranks);
 
-  // Key + owner per local particle, exactly as the centralized pre-pass does.
-  ExchangeStats stats;
-  std::vector<int> dest(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    mine.key[i] = space.key(mine.pos(i));
-    dest[i] = decomp.rank_of(mine.key[i]);
-    if (dest[i] != self) ++stats.migrated;
-  }
-
-  // Send side: one emigrant batch per peer, empty batches included (peers
-  // count on exactly nranks-1 arrivals).
-  std::vector<ParticleSet> batches(nranks);
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const auto d = static_cast<std::size_t>(dest[i]);
-    if (d == r) continue;
-    batches[d].add(mine.get(i));
-    batches[d].key.back() = mine.key[i];
-  }
+  // Key, owner and emigrant batches, exactly as the centralized pass 1; one
+  // batch per peer, empty batches included (peers count on exactly nranks-1
+  // arrivals).
+  Routing routing = route(mine, r, space, decomp);
   for (std::size_t d = 0; d < nranks; ++d) {
     if (d == r) continue;
-    mex.post(self, static_cast<int>(d), batches[d], step);
+    mex.post(self, static_cast<int>(d), routing.batches[d], step);
   }
+  routing.batches = {};
 
   // Receive side: collect the nranks-1 inbound batches (any arrival order),
   // then splice them around the local stayers in source-rank order — the
@@ -305,24 +345,8 @@ ExchangeStats exchange_resident(ParticleSet& mine, int self, const sfc::KeySpace
     seen[static_cast<std::size_t>(msg->src)] = 1;
     arrived[static_cast<std::size_t>(msg->src)] = std::move(msg->parts);
   }
-  ParticleSet out;
-  std::size_t stayers = mine.size() - static_cast<std::size_t>(stats.migrated);
-  for (const ParticleSet& a : arrived) stayers += a.size();
-  out.reserve(stayers);
-  for (std::size_t src = 0; src < nranks; ++src) {
-    if (src == r) {
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        if (static_cast<std::size_t>(dest[i]) != r) continue;
-        out.add(mine.get(i));
-        out.key.back() = mine.key[i];
-      }
-    } else {
-      append_particles(out, arrived[src]);
-    }
-  }
-  mine = std::move(out);
-  stats.total = mine.size();
-  return stats;
+  splice(mine, r, routing.gone, arrived);
+  return {mine.size(), routing.gone.size()};
 }
 
 }  // namespace bonsai::domain

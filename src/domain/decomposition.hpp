@@ -17,9 +17,11 @@
 #include "domain/wire.hpp"
 #include "sfc/keys.hpp"
 #include "tree/particle.hpp"
+#include "util/timer.hpp"
 
 namespace bonsai::domain {
 
+class Executor;
 class Transport;
 class MigrationExchange;
 
@@ -141,11 +143,20 @@ struct ExchangeStats {
 // populations and orderings are identical to the historical in-memory move.
 // Positions, velocities, masses and ids travel bit-for-bit, forces are reset
 // (they are recomputed each step), and each particle's `key` field is left
-// holding its freshly computed SFC key. Serialization cost/volume is booked
-// as wire.part.* counters into `*into` when given.
+// holding its freshly computed SFC key. Only emigrants are copied out; the
+// stayers are compacted in place. Serialization cost/volume is booked as
+// wire.part.* counters into `*into` when given.
+//
+// With `lanes` (one per rank), each rank's passes — keys and owners, batches
+// and posts, then receives and the splice — run on its own lane, concurrently
+// with the other ranks'; without, they run one rank after another. The
+// result is the same either way. `rank_times`, when given (one per rank),
+// receives each rank's "Exchange particles", "Wire encode" and "Wire decode"
+// seconds.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
-                       metrics::Snapshot* into = nullptr);
+                       metrics::Snapshot* into = nullptr, Executor* lanes = nullptr,
+                       std::span<TimeBreakdown> rank_times = {});
 
 // Convenience overload routing through a scratch in-process transport.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,

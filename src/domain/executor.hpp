@@ -28,6 +28,10 @@ class Executor {
   // The future becomes ready when the job returns.
   std::future<void> run(std::size_t lane, std::function<void()> job);
 
+  // Run job(lane) on every lane at once and return when all have returned,
+  // rethrowing the exception of the lowest lane whose job threw.
+  void run_all(const std::function<void(std::size_t)>& job);
+
  private:
   std::vector<std::unique_ptr<ThreadPool>> lanes_;
 };

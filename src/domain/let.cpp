@@ -1,5 +1,7 @@
 #include "domain/let.hpp"
 
+#include <span>
+
 #include "util/check.hpp"
 
 namespace bonsai::domain {
@@ -47,14 +49,16 @@ LetTree build_let(const TreeView& local, const AABB& remote_box) {
         let.nodes.emplace_back();
       }
     } else {
-      // Leaf the remote rank may open: export its particles.
+      // Leaf the remote rank may open: export its particles, which are
+      // contiguous, with one copy per array.
       out.part_begin = static_cast<std::uint32_t>(let.x.size());
-      for (std::uint32_t j = src.part_begin; j < src.part_end; ++j) {
-        let.x.push_back(local.x[j]);
-        let.y.push_back(local.y[j]);
-        let.z.push_back(local.z[j]);
-        let.m.push_back(local.m[j]);
-      }
+      const auto copy = [&](std::vector<double>& to, std::span<const double> from) {
+        to.insert(to.end(), from.begin() + src.part_begin, from.begin() + src.part_end);
+      };
+      copy(let.x, local.x);
+      copy(let.y, local.y);
+      copy(let.z, local.z);
+      copy(let.m, local.m);
       out.part_end = static_cast<std::uint32_t>(let.x.size());
     }
     let.nodes[static_cast<std::size_t>(item.dst)] = out;

@@ -32,7 +32,11 @@ void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown
   {
     trace::ScopedSpan span("rank.sort", id_, id_);
     ScopedTimer t(times, "Sorting SFC");
-    device_.sort_particles(parts_, space);
+    if constexpr (kDcheckEnabled)
+      for (std::size_t i = 0; i < parts_.size(); ++i)
+        BNS_CHECK(parts_.key[i] == space.key(parts_.pos(i)),
+                  "rank.build needs the keys the exchange computed through the step's key space");
+    device_.sort_keyed_particles(parts_);
   }
   {
     trace::ScopedSpan span("rank.build", id_, id_);

@@ -91,7 +91,9 @@ class Rank {
 
   // Sort by SFC key, build the octree, compute multipoles/MAC radii and
   // target groups. Stage timings accumulate into `times` under the Table II
-  // row names.
+  // row names. The sort reuses the keys the step's exchange left on every
+  // particle, which must come from `space` (Debug and sanitizer builds check
+  // each one).
   void build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown& times);
 
   // Extract this rank's LET for a remote domain box (sender-side work).

@@ -22,9 +22,13 @@ struct LaneTimeline {
   double sort = 0.0;       // "Sorting SFC"
   double build = 0.0;      // "Tree-construction"
   double props = 0.0;      // "Tree-properties"
-  std::vector<std::pair<int, double>> exports;  // (dst rank, seconds), send order
+  // (dst rank, seconds), send order: the LET's extraction plus the encode of
+  // its post ("Exchange LET" + "Wire encode").
+  std::vector<std::pair<int, double>> exports;
   double local = 0.0;      // "Gravity local"
-  std::vector<std::pair<int, double>> remotes;  // (src rank, seconds)
+  // (src rank, seconds): the LET's decode plus its walk ("Wire decode" +
+  // "Gravity remote").
+  std::vector<std::pair<int, double>> remotes;
   double integrate = 0.0;  // "Integration"
 };
 

@@ -119,6 +119,7 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
     ranks_.push_back(std::make_unique<Rank>(r, threads));
   inproc_ = std::make_unique<InProcTransport>(cfg_.nranks);
   transport_ = std::make_unique<TrafficRecordingTransport>(*inproc_);
+  executor_ = std::make_unique<Executor>(ranks_.size());
   decomp_ = Decomposition::uniform(cfg_.nranks);
   let_state_.init(cfg_.nranks, cfg_.let_cache, cfg_.let_churn);
 }
@@ -130,7 +131,8 @@ void Simulation::init(ParticleSet global) {
   prev_rank_size_.clear();
   StepReport scratch;
   TimeBreakdown driver;
-  redistribute(scratch, driver);
+  std::vector<TimeBreakdown> rank_times(ranks_.size());
+  redistribute(scratch, driver, rank_times);
   transport_->take();  // the bootstrap scatter is not step traffic
 }
 
@@ -164,7 +166,8 @@ DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& 
                                std::span<const double> prev_gravity_seconds,
                                std::span<const std::size_t> prev_rank_size,
                                Transport& transport, StepReport& report,
-                               TimeBreakdown& driver_times) {
+                               TimeBreakdown& driver_times, std::span<TimeBreakdown> rank_times,
+                               Executor* lanes) {
   DomainUpdate du;
   {
     trace::ScopedSpan span("decomposition.update");
@@ -177,23 +180,13 @@ DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& 
     du = update_domain(ptrs, cfg.nranks, cfg.curve, cfg.samples_per_rank, cfg.snap_level,
                        weight);
   }
-  {
-    // Manual timing so the serialization cost of the migration batches lands
-    // in the wire rows instead of double-counting inside the exchange row.
-    trace::ScopedSpan span("decomposition.exchange");
-    WallTimer timer;
-    metrics::Snapshot booked;
-    const ExchangeStats ex = exchange(sets, du.space, du.decomp, transport, &booked);
-    report.migrated = ex.migrated;
-    report.num_particles = ex.total;
-    const double encode_s = booked.counter("wire.part.encode_s");
-    const double decode_s = booked.counter("wire.part.decode_s");
-    driver_times.add("Exchange particles",
-                     std::max(0.0, timer.elapsed() - encode_s - decode_s));
-    driver_times.add("Wire encode", encode_s);
-    driver_times.add("Wire decode", decode_s);
-    metrics::merge(report.metrics, booked);
-  }
+  trace::ScopedSpan span("decomposition.exchange");
+  metrics::Snapshot booked;
+  const ExchangeStats ex =
+      exchange(sets, du.space, du.decomp, transport, &booked, lanes, rank_times);
+  report.migrated = ex.migrated;
+  report.num_particles = ex.total;
+  metrics::merge(report.metrics, booked);
   return du;
 }
 
@@ -204,6 +197,12 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
   RankStepStats out;
   const auto r = static_cast<std::size_t>(rank.id());
   const std::size_t nranks = active.size();
+  // The codec seconds `net` has booked for this rank so far: each post's
+  // encode and each LET's decode are read off it, so the schedule model
+  // counts them on the lane that paid for them.
+  const auto codec_s = [&](const char* row) {
+    return net.metrics(static_cast<int>(r)).counter(row);
+  };
   if (active[r]) {
     // Peers receive LETs round-robin from r+1 so senders spread across
     // receivers instead of all extracting for rank 0 first.
@@ -216,11 +215,14 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
       LetTree let = rank.export_let(boxes[dst]);
       const double secs = timer.elapsed();
       times.add("Exchange LET", secs);
-      if (lane) lane->exports.emplace_back(static_cast<int>(dst), secs);
       out.let_cells += let.num_cells();
       out.let_particles += let.num_particles();
+      const double encoded = codec_s("wire.let.encode_s");
       span.set_bytes(static_cast<std::int64_t>(
           net.post(static_cast<int>(r), static_cast<int>(dst), let, secs)));
+      if (lane)
+        lane->exports.emplace_back(static_cast<int>(dst),
+                                   secs + codec_s("wire.let.encode_s") - encoded);
     }
 
     rank.parts().zero_forces();
@@ -236,6 +238,7 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
     // arriving in order still overlap their walk with the remaining receives;
     // no barrier — the walk accepts any self-contained TreeView.
     std::vector<std::optional<wire::LetMessage>> pending(nranks);
+    std::vector<double> decode_s(nranks, 0.0);
     std::size_t next_walk = 1;
     const auto walk_ready = [&] {
       for (; next_walk < nranks; ++next_walk) {
@@ -248,14 +251,20 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
         span.set_bytes(static_cast<std::int64_t>(m.wire_bytes));
         const double before = times.get("Gravity remote");
         out.remote_stats += rank.gravity_remote(m.let.view(), cfg, times);
-        if (lane) lane->remotes.emplace_back(m.src, times.get("Gravity remote") - before);
+        if (lane)
+          lane->remotes.emplace_back(
+              m.src, times.get("Gravity remote") - before + decode_s[src]);
         pending[src].reset();
       }
     };
+    double decoded = codec_s("wire.let.decode_s");
     while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(r))) {
       const auto src = static_cast<std::size_t>(msg->src);
       BNS_CHECK(src < nranks && src != r && active[src] && !pending[src],
                        "LET from an invalid, inactive or duplicate source rank");
+      const double now_decoded = codec_s("wire.let.decode_s");
+      decode_s[src] = now_decoded - decoded;
+      decoded = now_decoded;
       pending[src] = std::move(*msg);
       walk_ready();
     }
@@ -272,11 +281,13 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
   return out;
 }
 
-void Simulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
+void Simulation::redistribute(StepReport& report, TimeBreakdown& driver_times,
+                              std::span<TimeBreakdown> rank_times) {
   std::vector<ParticleSet> sets(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r) sets[r] = std::move(ranks_[r]->parts());
   DomainUpdate du = redistribute_sets(sets, cfg_, prev_gravity_seconds_, prev_rank_size_,
-                                      *transport_, report, driver_times);
+                                      *transport_, report, driver_times, rank_times,
+                                      executor_.get());
   for (std::size_t r = 0; r < ranks_.size(); ++r) ranks_[r]->parts() = std::move(sets[r]);
   space_ = du.space;
   decomp_ = std::move(du.decomp);
@@ -299,7 +310,7 @@ StepReport Simulation::step() {
   std::vector<TimeBreakdown> rank_times(nranks);
   std::vector<LaneTimeline> lanes(nranks);
 
-  redistribute(report, driver_times);
+  redistribute(report, driver_times, rank_times);
 
   run_lanes(report, rank_times, lanes);
   const ScheduleModel model = model_schedule(lanes);
@@ -360,7 +371,6 @@ void Simulation::run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_
   }
 
   LetExchange net(*transport_, active, &let_state_);
-  if (!executor_) executor_ = std::make_unique<Executor>(nranks);
 
   std::vector<std::uint64_t> let_cells(nranks, 0), let_parts(nranks, 0);
   std::vector<InteractionStats> local_stats(nranks), remote_stats(nranks);
@@ -598,7 +608,8 @@ void print_step_report(const StepReport& report, std::ostream& os) {
        << TextTable::num(report.overlap_efficiency(), 2) << "x\n"
        << "  gravity+LET: " << TextTable::num(report.gravity_critical * 1e3)
        << " ms pipelined vs " << TextTable::num(report.gravity_sequential * 1e3)
-       << " ms sequential max-sum (Exchange LET + Gravity local + Gravity remote)\n";
+       << " ms sequential max-sum (LET export + encode, Gravity local, LET decode + Gravity "
+          "remote)\n";
   }
 }
 

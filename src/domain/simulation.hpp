@@ -54,8 +54,9 @@ struct StepReport {
 
   // Schedule model (see schedule.hpp), from the in-process lanes' timelines:
   // the pipelined critical path vs the lockstep stage-sum over the
-  // rank-concurrent stages, and the same pair restricted to Exchange LET +
-  // Gravity local + remote. All zero when the driver has no lane model (the
+  // rank-concurrent stages, and the same pair restricted to the LET exports
+  // (extraction + encode), Gravity local and the remote walks (decode +
+  // walk). All zero when the driver has no lane model (the
   // cluster coordinator sees only its workers' stage totals).
   double critical_path = 0.0;
   double sequential_model = 0.0;
@@ -143,8 +144,10 @@ class Simulation {
   int next_step() const { return next_step_; }
 
  private:
-  // Domain update + particle exchange; records driver-level timings/counts.
-  void redistribute(StepReport& report, TimeBreakdown& driver_times);
+  // Domain update + particle exchange (on the rank lanes); records the
+  // driver's and each rank's timings and the counts.
+  void redistribute(StepReport& report, TimeBreakdown& driver_times,
+                    std::span<TimeBreakdown> rank_times);
 
   // Runs every rank's pipeline on its Executor lane; leaves valid forces on
   // every rank and fills per-rank stage times and `lanes` for the pipeline
@@ -154,7 +157,7 @@ class Simulation {
 
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::unique_ptr<Executor> executor_;  // created on the first step
+  std::unique_ptr<Executor> executor_;  // one lane per rank
   // All inter-rank traffic (LET frames, particle batches) flows through the
   // recorder wrapped around this byte transport; swapping the backend for a
   // socket/MPI one changes no pipeline code (the out-of-process driver in
@@ -176,19 +179,23 @@ class Simulation {
   std::vector<std::size_t> prev_rank_size_;
 };
 
-// The shared "Domain update" + "Exchange particles" driver stages (used by
-// the in-process Simulation and the cluster coordinator so their reports
-// cannot drift apart): sample a new decomposition from the per-rank sets —
-// cost-weighted by the previous step's gravity seconds per particle when
-// BalanceMode::kCost and a step has been timed — then migrate particles
-// through `transport`, recording counts, stage timings (serialization cost
-// broken out into the wire rows) and the wire.part.* counters. Returns the
-// domain update so callers keep the bounds/space/partition.
+// The shared "Domain update" + "Exchange particles" stages (used by the
+// in-process Simulation and the cluster coordinator's bootstrap so their
+// reports cannot drift apart): sample a new decomposition from the per-rank
+// sets on the driver — cost-weighted by the previous step's gravity seconds
+// per particle when BalanceMode::kCost and a step has been timed — then
+// migrate particles through `transport`, each rank's passes on its lane of
+// `lanes` when given (see exchange()). Records the counts, the driver's
+// "Domain update" time, each rank's exchange rows in `rank_times` (one per
+// rank; serialization cost broken out into the wire rows) and the
+// wire.part.* counters. Returns the domain update so callers keep the
+// bounds/space/partition.
 DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& cfg,
                                std::span<const double> prev_gravity_seconds,
                                std::span<const std::size_t> prev_rank_size,
                                Transport& transport, StepReport& report,
-                               TimeBreakdown& driver_times);
+                               TimeBreakdown& driver_times, std::span<TimeBreakdown> rank_times,
+                               Executor* lanes);
 
 // Everything one rank's LET/gravity phase produces.
 struct RankStepStats {

@@ -137,17 +137,20 @@ class Archive {
 };
 
 // --- Flat little-endian writer ----------------------------------------------
+// Writes at a cursor into a frame sized up front, so each field is one
+// memcpy. Callers pass the exact payload size where they know it (encode()
+// measures it with the size pass, a Let frame with full_let_bytes); a frame
+// that outgrows its size doubles, which only the LetDelta codec relies on.
 class Writer : public Archive<Writer> {
  public:
   static constexpr bool kDecoding = false;
 
-  // Build a frame of `type` inside `reuse` (its capacity carries over, for
-  // posting paths that encode every step: finish() hands the buffer back to
-  // the caller, who keeps it for the next encode).
-  explicit Writer(FrameType type, std::vector<std::uint8_t> reuse = {})
+  // Build a frame of `type` with room for `payload_bytes`, inside `reuse`
+  // (its capacity carries over, for a caller that keeps one buffer for many
+  // encodes).
+  Writer(FrameType type, std::size_t payload_bytes, std::vector<std::uint8_t> reuse = {})
       : buf_(std::move(reuse)) {
-    buf_.clear();
-    if (buf_.capacity() < 64) buf_.reserve(64);
+    buf_.resize(kHeaderBytes + payload_bytes);
     put(kMagic);
     put(kVersion);
     put(static_cast<std::uint16_t>(type));
@@ -156,9 +159,15 @@ class Writer : public Archive<Writer> {
 
   template <class T>
   void put(T v) {
-    const auto bits = std::bit_cast<Bits<T>>(v);
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    if constexpr (kHostLittle) {
+      append(&v, sizeof(T));
+    } else {
+      const auto bits = std::bit_cast<Bits<T>>(v);
+      std::uint8_t bytes[sizeof(T)];
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        bytes[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+      append(bytes, sizeof(T));
+    }
   }
 
   template <class T>
@@ -169,8 +178,7 @@ class Writer : public Archive<Writer> {
   template <class T>
   void span(std::span<T> v) {
     if constexpr (kHostLittle) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-      buf_.insert(buf_.end(), p, p + v.size_bytes());
+      append(v.data(), v.size_bytes());
     } else {
       for (const T x : v) put(x);
     }
@@ -184,7 +192,8 @@ class Writer : public Archive<Writer> {
   void require(bool, const char*) {}
 
   std::vector<std::uint8_t> finish() {
-    const std::uint64_t payload = buf_.size() - kHeaderBytes;
+    buf_.resize(pos_);
+    const std::uint64_t payload = pos_ - kHeaderBytes;
     for (int i = 0; i < 8; ++i)
       buf_[8 + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(payload >> (8 * i));
@@ -192,7 +201,15 @@ class Writer : public Archive<Writer> {
   }
 
  private:
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;  // an empty span's data() may be null
+    if (n > buf_.size() - pos_) buf_.resize(std::max(2 * buf_.size(), pos_ + n));
+    std::memcpy(buf_.data() + pos_, p, n);
+    pos_ += n;
+  }
+
   std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;
 };
 
 // --- Bounds-checked little-endian reader -------------------------------------
@@ -212,8 +229,12 @@ class Reader : public Archive<Reader> {
   T get() {
     const auto s = take(sizeof(T));
     Bits<T> bits = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      bits = static_cast<Bits<T>>(bits | (static_cast<Bits<T>>(s[i]) << (8 * i)));
+    if constexpr (kHostLittle) {
+      std::memcpy(&bits, s.data(), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        bits = static_cast<Bits<T>>(bits | (static_cast<Bits<T>>(s[i]) << (8 * i)));
+    }
     return std::bit_cast<T>(bits);
   }
 
@@ -258,17 +279,20 @@ class Reader : public Archive<Reader> {
 };
 
 // --- Size pass ----------------------------------------------------------------
-// Decodes the smallest payload of a default value: every count zero, every
-// scalar at its width. Containers a description sizes from a count (a
-// histogram's n + 1 buckets) are sized here too, so they are counted.
-class Sizer : public Archive<Sizer> {
+// Counts the bytes a description writes. A Measure runs it over a message the
+// way the Writer will, so the Writer's frame is sized exactly. A Sizer
+// decodes the smallest payload of a default value instead: every count zero,
+// every scalar at its width. Containers a description sizes from a count (a
+// histogram's n + 1 buckets) are sized there too, so they are counted.
+template <bool Minimum>
+class SizePass : public Archive<SizePass<Minimum>> {
  public:
-  static constexpr bool kDecoding = true;
+  static constexpr bool kDecoding = Minimum;
 
   std::size_t bytes = 0;
 
   template <class T>
-  void scalar(T&) {
+  void scalar(const T&) {
     bytes += sizeof(T);
   }
 
@@ -279,11 +303,25 @@ class Sizer : public Archive<Sizer> {
 
   template <class C>
   void resize(C& c, std::size_t n, std::size_t, const char*) {
-    each(c, [n](auto& x) { x.resize(n); });
+    if constexpr (Minimum) each(c, [n](auto& x) { x.resize(n); });
   }
 
   void require(bool, const char*) {}
 };
+
+using Sizer = SizePass<true>;
+using Measure = SizePass<false>;
+
+// One frame of `type` whose payload `describe(archive)` writes: a size pass,
+// then the writes into the exactly sized frame.
+template <class Describe>
+std::vector<std::uint8_t> write_frame(FrameType type, Describe&& describe) {
+  Measure size;
+  describe(size);
+  Writer w(type, size.bytes);
+  describe(w);
+  return w.finish();
+}
 
 template <class T>
 std::size_t min_size_of() {
@@ -673,12 +711,21 @@ Reader open_frame(std::span<const std::uint8_t> frame, FrameType expected) {
   return Reader(frame.subspan(kHeaderBytes));
 }
 
+// Exact wire footprint of the full Let frame for `let`, from its counts alone.
+std::uint64_t full_let_bytes(const LetTree& let) {
+  return kHeaderBytes + min_size<LetMessage>() + let.num_cells() * min_size<TreeNode>() +
+         let.num_particles() * row_bytes(std::tie(let.x, let.y, let.z, let.m));
+}
+
 template <FrameType T>
-std::vector<std::uint8_t> encode(const MessageOf<T>& msg,
-                                 std::vector<std::uint8_t> reuse = {}) {
-  Writer w(T, std::move(reuse));
-  w(msg);
-  return w.finish();
+std::vector<std::uint8_t> encode(const MessageOf<T>& msg) {
+  if constexpr (T == FrameType::kLet) {
+    Writer w(T, full_let_bytes(msg.let) - kHeaderBytes);
+    w(msg);
+    return w.finish();
+  } else {
+    return write_frame(T, [&](auto& ar) { ar(msg); });
+  }
 }
 
 template <FrameType T>
@@ -745,11 +792,6 @@ using Frame = std::span<const std::uint8_t>;
 
 Bytes encode_let(const LetMessage& msg) { return encode<FrameType::kLet>(msg); }
 
-Bytes encode_let_scratch(const LetMessage& msg, Bytes& scratch) {
-  scratch = encode<FrameType::kLet>(msg, std::move(scratch));
-  return {scratch.begin(), scratch.end()};
-}
-
 LetMessage decode_let(Frame frame) {
   LetMessage msg = decode<FrameType::kLet>(frame);
   msg.wire_bytes = frame.size();
@@ -757,9 +799,8 @@ LetMessage decode_let(Frame frame) {
 }
 
 Bytes encode_particles(int src, const ParticleSet& parts, bool with_forces) {
-  Writer w(FrameType::kParticles);
-  particle_payload(w, src, with_forces, parts);
-  return w.finish();
+  return write_frame(FrameType::kParticles,
+                     [&](auto& ar) { particle_payload(ar, src, with_forces, parts); });
 }
 
 ParticleBatch decode_particles(Frame frame) { return decode<FrameType::kParticles>(frame); }
@@ -792,9 +833,7 @@ Bytes encode_key_samples(const KeySamples& ks) { return encode<FrameType::kKeySa
 KeySamples decode_key_samples(Frame frame) { return decode<FrameType::kKeySamples>(frame); }
 
 Bytes encode_migration(int src, int step, const ParticleSet& parts) {
-  Writer w(FrameType::kMigration);
-  migration(w, src, step, parts);
-  return w.finish();
+  return write_frame(FrameType::kMigration, [&](auto& ar) { migration(ar, src, step, parts); });
 }
 MigrationMsg decode_migration(Frame frame) { return decode<FrameType::kMigration>(frame); }
 
@@ -1069,12 +1108,6 @@ void advance_let_cache(LetCacheEntry& cache, LetTree next,
   cache.part_age = std::move(pa);
 }
 
-// Exact wire footprint of the full Let frame for the same tree.
-std::uint64_t full_let_bytes(const LetTree& let) {
-  return kHeaderBytes + min_size<LetMessage>() + let.num_cells() * min_size<TreeNode>() +
-         let.num_particles() * kPartValues * min_size<double>();
-}
-
 }  // namespace
 
 void LetCacheEntry::check_consistency() const {
@@ -1112,7 +1145,7 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
     const std::vector<std::int32_t> nmatch = match_nodes(cache.tree, let);
     const std::vector<std::int64_t> pmatch = match_particles(cache.tree, let, nmatch);
 
-    Writer w(FrameType::kLetDelta, std::move(buf));
+    Writer w(FrameType::kLetDelta, 0, std::move(buf));
     w(msg.src, msg.export_seconds, cache.version);
     w.put(static_cast<std::uint32_t>(let.num_cells()));
     w.put(static_cast<std::uint32_t>(let.num_particles()));
@@ -1214,8 +1247,7 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
     // through to a full frame, which also resets the peer's cache.
   }
 
-  buf = encode<FrameType::kLet>(msg, std::move(buf));
-  res.frame.assign(buf.begin(), buf.end());
+  res.frame = encode<FrameType::kLet>(msg);
   res.is_delta = false;
   advance_let_cache(cache, let, {}, {});
   cache.version = 1;

@@ -19,7 +19,8 @@
 // it) and one row in wire.cpp's frame table; a FrameType value without a row
 // fails to compile. Then give the new type a seed frame in
 // tests/fuzz/wire_corpus.hpp and run corpus_dump. Bump kVersion, and
-// regenerate the corpora, only when the bytes of an existing frame change.
+// regenerate the corpora, only when the bytes of an existing frame change
+// (and see kSnapshotLayoutVersion).
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,13 @@ namespace bonsai::domain::wire {
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
 inline constexpr std::uint16_t kVersion = 10;
 inline constexpr std::size_t kHeaderBytes = 16;
+
+// The version in which the Snapshot frame and the particle payload it
+// carries last changed their bytes (version 6 added the frame; no bump
+// since has touched it). Snapshot files of any version from here up to
+// kVersion load (serve/snapshot.hpp). A bump that changes those bytes must
+// raise this to the new kVersion.
+inline constexpr std::uint16_t kSnapshotLayoutVersion = 6;
 
 enum class FrameType : std::uint16_t {
   kLet = 1,        // one rank's LET for one remote rank
@@ -190,11 +198,6 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
 // before the tree is returned. On any WireError the cache is left exactly
 // as it was (patches commit only after validation).
 LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry& cache);
-
-// Like encode_let, but builds the frame in `scratch` (capacity retained
-// across calls) and returns an exact-size copy for posting.
-std::vector<std::uint8_t> encode_let_scratch(const LetMessage& msg,
-                                             std::vector<std::uint8_t>& scratch);
 
 // The source rank of a kLet/kLetDelta frame without decoding it (both
 // layouts lead with the source id) — the importer routes the frame to the

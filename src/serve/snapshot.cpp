@@ -1,7 +1,9 @@
 #include "serve/snapshot.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace bonsai::serve {
@@ -24,7 +26,25 @@ domain::wire::SnapshotMsg read_snapshot_file(const std::string& path) {
   std::vector<std::uint8_t> frame(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(frame.data()), size);
   if (!in) throw std::runtime_error("snapshot: read failed: " + path);
-  return domain::wire::decode_snapshot(frame);
+  // A file keeps the version it was written at, so one written before the
+  // last wire bump carries an older header version than the decoder's. Any
+  // version since the Snapshot layout last changed has the same bytes: it
+  // decodes as the current version. (A short or foreign header is left for
+  // the decoder to name.)
+  namespace wire = domain::wire;
+  std::uint32_t magic = 0;
+  if (frame.size() >= wire::kHeaderBytes) std::memcpy(&magic, frame.data(), sizeof magic);
+  if (magic == wire::kMagic) {
+    const auto version = static_cast<std::uint16_t>(frame[4] | frame[5] << 8);
+    if (version < wire::kSnapshotLayoutVersion || version > wire::kVersion)
+      throw wire::WireError("snapshot: " + path + ": file version " + std::to_string(version) +
+                            " is not readable (accepted versions " +
+                            std::to_string(wire::kSnapshotLayoutVersion) + " to " +
+                            std::to_string(wire::kVersion) + ")");
+    frame[4] = static_cast<std::uint8_t>(wire::kVersion & 0xFF);
+    frame[5] = static_cast<std::uint8_t>(wire::kVersion >> 8);
+  }
+  return wire::decode_snapshot(frame);
 }
 
 ParticleSet flatten_snapshot(const domain::wire::SnapshotMsg& snap) {

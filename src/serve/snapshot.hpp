@@ -16,10 +16,13 @@ namespace bonsai::serve {
 // I/O failure (the path names the problem).
 void write_snapshot_file(const std::string& path, const domain::wire::SnapshotMsg& snap);
 
-// Read and decode a snapshot file. Throws std::runtime_error when the file
+// Read and decode a snapshot file. Files written at any wire version from
+// kSnapshotLayoutVersion to kVersion load (the Snapshot bytes have not
+// changed across them); an older or newer file is a WireError naming its
+// version and the accepted range. Throws std::runtime_error when the file
 // cannot be read and wire::WireError when its bytes are not a valid Snapshot
-// frame (truncated, corrupted, wrong version — the wire validation applies
-// to files exactly as to sockets).
+// frame (truncated, corrupted — the wire validation applies to files exactly
+// as to sockets).
 domain::wire::SnapshotMsg read_snapshot_file(const std::string& path);
 
 // Concatenate a snapshot's per-rank sets into one global set (array order:

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "tree/kernels.hpp"
+#include "tree/traverse.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -354,11 +355,12 @@ void InteractionQueue::grow_leaf_columns(std::size_t slots) {
   leaf_slots_ = slots;
 }
 
-void InteractionQueue::begin_walk(const TreeView& src, ParticleSet& targets,
+void InteractionQueue::begin_walk(const WalkTree& walk, ParticleSet& targets,
                                   const WalkParams& params, KernelBackend backend,
                                   std::uint32_t target_begin, std::uint32_t target_end) {
   BNS_CHECK(targets_ == nullptr, "finish_walk() must close the previous walk");
-  src_ = src;
+  walk_ = &walk;
+  src_ = walk.src;
   targets_ = &targets;
   params_ = params;
   backend_ = backend;
@@ -388,17 +390,25 @@ void InteractionQueue::stage_targets() {
 
 // The simd moments of every staged cell, relative to centre_, in one pass:
 // the gathers overlap far better here than one at a time inside the walk.
+// The COM comes from the walk tree's double columns, mass and quadrupole
+// from its float image, so each cell reads two cache lines of compact
+// arrays instead of a whole TreeNode.
 void InteractionQueue::stage_cells() {
   std::array<float*, 10> f;
   for (std::size_t k = 0; k < f.size(); ++k) f[k] = fcell_[k].get();
+  const double* const cx = walk_->com_x.data();
+  const double* const cy = walk_->com_y.data();
+  const double* const cz = walk_->com_z.data();
+  const CellMoments* const moments = walk_->moments.data();
+  const bool quadrupole = params_.quadrupole;
   for (std::size_t s = 0; s < ncell_; ++s) {
-    const Multipole& mp = src_.nodes[cell_node_[s]].mp;
-    f[0][s] = static_cast<float>(mp.com.x - centre_.x);
-    f[1][s] = static_cast<float>(mp.com.y - centre_.y);
-    f[2][s] = static_cast<float>(mp.com.z - centre_.z);
-    f[3][s] = static_cast<float>(mp.mass);
-    for (std::size_t k = 0; k < 6; ++k)
-      f[4 + k][s] = params_.quadrupole ? static_cast<float>(mp.quad.q[k]) : 0.0f;
+    const std::uint32_t node = cell_node_[s];
+    const CellMoments& m = moments[node];
+    f[0][s] = static_cast<float>(cx[node] - centre_.x);
+    f[1][s] = static_cast<float>(cy[node] - centre_.y);
+    f[2][s] = static_cast<float>(cz[node] - centre_.z);
+    f[3][s] = m.mass;
+    for (std::size_t k = 0; k < 6; ++k) f[4 + k][s] = quadrupole ? m.quad[k] : 0.0f;
   }
 }
 

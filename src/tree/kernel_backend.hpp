@@ -93,6 +93,17 @@ KernelIsa dispatched_kernel_isa();
 // portable), so every ISA evaluates exactly the padded lanes.
 inline constexpr std::size_t kKernelBatchPad = 16;
 
+// The float moments the simd drain stages for one cell, converted from the
+// node's Multipole once per source tree (WalkTree) rather than once per
+// staged cell: mass, then the quadrupole in Quadrupole::q order. One record
+// is half a cache line.
+struct alignas(32) CellMoments {
+  float mass = 0.0f;
+  std::array<float, 6> quad{};
+};
+
+struct WalkTree;
+
 // Per-walk parameters shared by every batch of one group walk.
 struct WalkParams {
   double eps2 = 0.0;
@@ -102,7 +113,7 @@ struct WalkParams {
 
 // Staging queue for one worker thread. Usage per target group:
 //
-//   queue.begin_walk(src, targets, params, backend, target_begin, target_end);
+//   queue.begin_walk(walk, targets, params, backend, target_begin, target_end);
 //   ... push_cell / push_leaf while walking ...
 //   InteractionStats s = queue.finish_walk();
 //
@@ -120,13 +131,16 @@ class InteractionQueue {
   explicit InteractionQueue(std::size_t capacity = kDefaultCapacity,
                             KernelIsa isa = dispatched_kernel_isa());
 
-  void begin_walk(const TreeView& src, ParticleSet& targets, const WalkParams& params,
+  // Open a walk of the source tree `walk` (tree/traverse.hpp), which must
+  // outlive it, for targets [target_begin, target_end).
+  void begin_walk(const WalkTree& walk, ParticleSet& targets, const WalkParams& params,
                   KernelBackend backend, std::uint32_t target_begin,
                   std::uint32_t target_end);
 
   // Stage the MAC-accepted cell src.nodes[node] (internal node or multipole
   // leaf) against the current walk's target range. Only the index is
-  // recorded here; the simd moments are converted in one pass per flush.
+  // recorded here; the simd moments are gathered from the walk tree's
+  // compact image in one pass per flush.
   void push_cell(std::uint32_t node) {
     if (ncell_ + nleaf_ >= capacity_) flush();
     cell_node_[ncell_++] = node;
@@ -168,6 +182,7 @@ class InteractionQueue {
   KernelIsa isa_;
 
   // Walk context (set by begin_walk).
+  const WalkTree* walk_ = nullptr;
   TreeView src_{};
   ParticleSet* targets_ = nullptr;
   WalkParams params_{};

@@ -105,6 +105,25 @@ class ParticleSet {
 
   Particle get(std::size_t i) const { return {pos(i), vel(i), mass[i], id[i]}; }
 
+  // Append every particle of `from`, each array in one copy: forces,
+  // potentials and keys come along as they are.
+  void append(const ParticleSet& from) {
+    const auto cat = [](auto& to, const auto& v) { to.insert(to.end(), v.begin(), v.end()); };
+    cat(x, from.x);
+    cat(y, from.y);
+    cat(z, from.z);
+    cat(vx, from.vx);
+    cat(vy, from.vy);
+    cat(vz, from.vz);
+    cat(ax, from.ax);
+    cat(ay, from.ay);
+    cat(az, from.az);
+    cat(pot, from.pot);
+    cat(mass, from.mass);
+    cat(id, from.id);
+    cat(key, from.key);
+  }
+
   // Tight bounding box of all particle positions.
   AABB bounds() const {
     AABB box;
@@ -114,22 +133,15 @@ class ParticleSet {
 
   double total_mass() const { return std::accumulate(mass.begin(), mass.end(), 0.0); }
 
-  // Reorder all arrays so that entry i comes from old index perm[i].
+  // Reorder all arrays so that entry i comes from old index perm[i]. One
+  // scratch array per element type is gathered into and swapped in, so the
+  // set never holds more than one spare array of each.
   void apply_permutation(std::span<const std::uint32_t> perm) {
     BNS_CHECK(perm.size() == size());
-    permute(x, perm);
-    permute(y, perm);
-    permute(z, perm);
-    permute(vx, perm);
-    permute(vy, perm);
-    permute(vz, perm);
-    permute(ax, perm);
-    permute(ay, perm);
-    permute(az, perm);
-    permute(pot, perm);
-    permute(mass, perm);
-    permute(id, perm);
-    permute(key, perm);
+    std::vector<double> f64(size());
+    for (auto* v : {&x, &y, &z, &vx, &vy, &vz, &ax, &ay, &az, &pot, &mass}) permute(*v, perm, f64);
+    std::vector<std::uint64_t> u64(size());
+    for (auto* v : {&id, &key}) permute(*v, perm, u64);
   }
 
   void zero_forces() {
@@ -148,10 +160,10 @@ class ParticleSet {
 
  private:
   template <typename T>
-  static void permute(std::vector<T>& v, std::span<const std::uint32_t> perm) {
-    std::vector<T> out(v.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) out[i] = v[perm[i]];
-    v.swap(out);
+  static void permute(std::vector<T>& v, std::span<const std::uint32_t> perm,
+                      std::vector<T>& scratch) {
+    for (std::size_t i = 0; i < perm.size(); ++i) scratch[i] = v[perm[i]];
+    v.swap(scratch);
   }
 };
 
@@ -163,9 +175,20 @@ class ParticleSet {
 // float-to-grid conversion is undefined for a non-finite position.
 std::string find_non_finite(const ParticleSet& s);
 
-// Compute SFC keys for all particles and sort the set by key. Returns the
-// permutation applied (new index -> old index). This is the "Sorting SFC"
-// stage of Table II.
+// The permutation (new index -> old index) that orders particles by
+// (key, id): a stable LSD radix sort on the 64-bit keys, 11 bits a pass,
+// skipping every pass whose digit all keys share, then each run of equal
+// keys ordered by id. Particles equal in both keep their input order. This
+// is the one particle sort; the paper's GPU sort is a radix sort too.
+std::vector<std::uint32_t> key_id_order(std::span<const sfc::Key> keys,
+                                        std::span<const std::uint64_t> ids);
+
+// Sort the set by (key, id) on the keys it already holds. Returns the
+// permutation applied (new index -> old index).
+std::vector<std::uint32_t> sort_by_current_keys(ParticleSet& parts);
+
+// Compute SFC keys for all particles and sort the set by (key, id). Returns
+// the permutation applied. This is the "Sorting SFC" stage of Table II.
 std::vector<std::uint32_t> sort_by_keys(ParticleSet& parts, const sfc::KeySpace& space);
 
 }  // namespace bonsai

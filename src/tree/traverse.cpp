@@ -34,12 +34,16 @@ WalkTree::WalkTree(const TreeView& view) : src(view) {
   first_child.resize(n);
   num_children.resize(n);
   action.resize(n);
+  moments.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const TreeNode& node = view.nodes[i];
     com_x[i] = node.mp.com.x;
     com_y[i] = node.mp.com.y;
     com_z[i] = node.mp.com.z;
     rcrit2[i] = node.rcrit * node.rcrit;
+    moments[i].mass = static_cast<float>(node.mp.mass);
+    for (std::size_t k = 0; k < 6; ++k)
+      moments[i].quad[k] = static_cast<float>(node.mp.quad.q[k]);
     first_child[i] = node.first_child;
     num_children[i] = node.num_children;
     switch (node.kind) {
@@ -255,7 +259,7 @@ InteractionStats traverse_one_group_batched(const WalkTree& walk, ParticleSet& t
   params.eps2 = config.eps * config.eps;
   params.quadrupole = config.quadrupole;
   params.self = self;
-  queue.begin_walk(walk.src, targets, params, config.backend, group.begin, group.end);
+  queue.begin_walk(walk, targets, params, config.backend, group.begin, group.end);
   thread_local std::vector<std::uint32_t> stack;
   walk_variant(queue.isa())(walk, group.box, queue, stack);
   return queue.finish_walk();

@@ -62,7 +62,8 @@ std::vector<TargetGroup> make_groups(const ParticleSet& parts, int ncrit);
 enum class WalkAction : std::uint8_t { kSkip = 0, kCell = 1, kOpen = 2, kLeaf = 3 };
 
 // The walk's compact view of one source tree, in SoA columns indexed by node
-// and padded so a child block can always be loaded as whole vectors.
+// and padded so a child block can always be loaded as whole vectors, plus
+// the float moments the simd drain stages for an accepted cell.
 struct WalkTree {
   // Children are tested this many at a time; the columns carry this much
   // padding past the last node.
@@ -75,6 +76,7 @@ struct WalkTree {
   std::vector<std::int32_t> first_child;
   std::vector<std::uint8_t> num_children;
   std::vector<WalkAction> action;  // when the MAC rejects the node
+  std::vector<CellMoments> moments;  // simd cell staging, beside the COM columns
 };
 
 // Single-group walk (the unit of work the device scheduler dispatches):

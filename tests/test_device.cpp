@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "device/device.hpp"
 #include "device/thread_pool.hpp"
 #include "domain/channel.hpp"
 #include "domain/executor.hpp"
@@ -52,6 +54,85 @@ TEST(ThreadPool, ParallelForFromAnotherPoolsWorkerStillDispatches) {
   std::atomic<int> count{0};
   outer.submit_task([&] { inner.parallel_for(10, [&](std::size_t) { ++count; }); }).get();
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, CallerRunsChunksBesideTheWorkers) {
+  // The calling thread is one of the loop's runners: with one worker, the
+  // chunks land on exactly two threads, the caller included.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0}, count{0};
+  pool.parallel_for(
+      4000,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) ++on_caller;
+        ++count;
+      },
+      /*chunk=*/1);
+  EXPECT_EQ(count.load(), 4000);
+  EXPECT_GT(on_caller.load(), 0);
+}
+
+TEST(ThreadPool, ExceptionOnTheCallerIsRethrownAfterTheWorkersFinish) {
+  // Two items, one worker that holds its item until the caller has thrown:
+  // the caller always runs the other item, and parallel_for must not return
+  // (leaving the loop body dangling) before the worker is done with it.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  std::atomic<int> worker_done{0};
+  EXPECT_THROW(pool.parallel_for(
+                   2,
+                   [&](std::size_t) {
+                     if (std::this_thread::get_id() == caller) {
+                       thrown = true;
+                       throw std::runtime_error("boom");
+                     }
+                     while (!thrown) std::this_thread::yield();
+                     ++worker_done;
+                   },
+                   /*chunk=*/1),
+               std::runtime_error);
+  const int done = worker_done.load();
+  EXPECT_LE(done, 1);
+  // The pool is idle and usable again.
+  std::atomic<int> count{0};
+  pool.parallel_for(100, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(worker_done.load(), done);
+}
+
+TEST(Device, OneThreadDeviceRunsLoopsOnTheCallingThread) {
+  // A Device of T threads starts T - 1 workers: a one-thread Device has
+  // none, and runs every loop on its caller instead of handing it to a
+  // worker and sleeping.
+  Device device(1);
+  EXPECT_EQ(device.num_threads(), 1u);
+  EXPECT_EQ(device.pool().num_threads(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  int off_caller = 0;
+  device.parallel_for(256, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+  });
+  EXPECT_EQ(off_caller, 0);
+
+  Device wide(3);
+  EXPECT_EQ(wide.num_threads(), 3u);
+  EXPECT_EQ(wide.pool().num_threads(), 2u);
+}
+
+TEST(Executor, RunAllRunsEveryLaneAndRethrows) {
+  domain::Executor exec(3);
+  std::vector<int> ran(3, 0);
+  exec.run_all([&](std::size_t lane) { ran[lane] = static_cast<int>(lane) + 1; });
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_THROW(exec.run_all([](std::size_t lane) {
+                 if (lane == 1) throw std::runtime_error("lane 1");
+               }),
+               std::runtime_error);
+  // Lanes survive a job's exception.
+  exec.run_all([&](std::size_t lane) { ran[lane] = 0; });
+  EXPECT_EQ(ran, (std::vector<int>{0, 0, 0}));
 }
 
 TEST(Executor, LanesRunJobsInSubmissionOrder) {

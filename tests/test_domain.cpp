@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "domain/channel.hpp"
 #include "domain/decomposition.hpp"
+#include "domain/executor.hpp"
 #include "domain/let.hpp"
 #include "domain/simulation.hpp"
 #include "domain/transport.hpp"
@@ -213,6 +215,103 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   }
   EXPECT_EQ(migrated, central_stats.migrated);
   EXPECT_EQ(total, central_stats.total);
+}
+
+TEST(Exchange, RankLanesMatchTheSerialExchangeBitForBit) {
+  // The exchange's per-rank passes run concurrently on the rank lanes; the
+  // populations, their order and every key must equal the one-rank-at-a-
+  // time run, and each rank books its own exchange rows.
+  const std::size_t n = 3000;
+  const int nranks = 4;
+  const ParticleSet global = make_plummer(n, 59);
+  std::vector<ParticleSet> serial(nranks);
+  for (std::size_t i = 0; i < n; ++i) serial[i % nranks].add(global.get(i));
+  sfc::KeySpace space(global.bounds());
+  const Decomposition d =
+      Decomposition::from_samples(domain::sample_keys(global, space, 2), nranks);
+
+  // Settle the owners, then drift so that the exchange under test both
+  // moves a few boundary crossers and keeps most particles in place.
+  domain::exchange(serial, space, d);
+  for (ParticleSet& s : serial)
+    for (std::size_t i = 0; i < s.size(); ++i) s.x[i] += 0.05 * s.vx[i];
+  std::vector<ParticleSet> laned = serial;
+
+  domain::InProcTransport t1(nranks), t2(nranks);
+  metrics::Snapshot booked_serial, booked_laned;
+  const domain::ExchangeStats a = domain::exchange(serial, space, d, t1, &booked_serial);
+  domain::Executor lanes(nranks);
+  std::vector<TimeBreakdown> rank_times(nranks);
+  const domain::ExchangeStats b =
+      domain::exchange(laned, space, d, t2, &booked_laned, &lanes, rank_times);
+  EXPECT_GT(a.migrated, 0u);
+  EXPECT_EQ(a.migrated, b.migrated);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(booked_serial.counter("wire.part.bytes"), booked_laned.counter("wire.part.bytes"));
+  for (int r = 0; r < nranks; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(laned[r].x, serial[r].x);
+    EXPECT_EQ(laned[r].vy, serial[r].vy);
+    EXPECT_EQ(laned[r].mass, serial[r].mass);
+    EXPECT_EQ(laned[r].id, serial[r].id);
+    EXPECT_EQ(laned[r].key, serial[r].key);
+    EXPECT_EQ(laned[r].ax, std::vector<double>(laned[r].size(), 0.0));
+    EXPECT_EQ(laned[r].pot, std::vector<double>(laned[r].size(), 0.0));
+    EXPECT_GT(rank_times[r].get("Exchange particles"), 0.0);
+    EXPECT_GT(rank_times[r].get("Wire encode"), 0.0);
+    EXPECT_GT(rank_times[r].get("Wire decode"), 0.0);
+  }
+}
+
+TEST(Simulation, LaneTimelineCountsLetCodecSeconds) {
+  // The schedule model must see all a lane spends on LETs: each export
+  // entry is the extraction plus the encode of its post, each remote entry
+  // the decode plus the walk, so the timeline sums to the lane's rows.
+  SimConfig cfg;
+  cfg.nranks = 2;
+  cfg.dt = 0.0;
+  const ParticleSet global = make_plummer(3000, 61);
+  const sfc::KeySpace space(global.bounds());
+  std::vector<ParticleSet> sets(2);
+  for (std::size_t i = 0; i < global.size(); ++i) sets[i % 2].add(global.get(i));
+  const Decomposition d =
+      Decomposition::from_samples(domain::sample_keys(global, space, 1), 2);
+  domain::exchange(sets, space, d);  // keys every particle, as a step does
+
+  std::vector<std::unique_ptr<domain::Rank>> ranks;
+  std::vector<std::uint8_t> active{1, 1};
+  std::vector<AABB> boxes(2);
+  for (int r = 0; r < 2; ++r) {
+    ranks.push_back(std::make_unique<domain::Rank>(r, 1));
+    ranks[r]->parts() = sets[r];
+    boxes[r] = sets[r].bounds();
+  }
+  domain::InProcTransport transport(2);
+  domain::LetExchange net(transport, active);
+  std::vector<TimeBreakdown> times(2);
+  std::vector<domain::LaneTimeline> lanes(2);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r)
+    threads.emplace_back([&, r] {
+      ranks[r]->build(space, cfg, times[r]);
+      std::size_t next_peer = 1;
+      domain::run_rank_step(*ranks[r], cfg, net, active, boxes, times[r], &lanes[r],
+                            next_peer);
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r);
+    ASSERT_EQ(lanes[r].exports.size(), 1u);
+    ASSERT_EQ(lanes[r].remotes.size(), 1u);
+    EXPECT_GT(times[r].get("Wire encode"), 0.0);
+    EXPECT_GT(times[r].get("Wire decode"), 0.0);
+    double exports = 0.0, remotes = 0.0;
+    for (const auto& [peer, secs] : lanes[r].exports) exports += secs;
+    for (const auto& [peer, secs] : lanes[r].remotes) remotes += secs;
+    EXPECT_NEAR(exports, times[r].get("Exchange LET") + times[r].get("Wire encode"), 1e-12);
+    EXPECT_NEAR(remotes, times[r].get("Gravity remote") + times[r].get("Wire decode"), 1e-12);
+  }
 }
 
 TEST(Simulation, TrafficMatrixMatchesWireSummaries) {

@@ -255,17 +255,20 @@ TEST(LetDelta, EmptyTreesAlwaysShipFull) {
   }
 }
 
-TEST(LetDelta, ScratchEncodeMatchesPlainEncode) {
+TEST(LetDelta, FullFramesAreSizedExactly) {
+  // A full Let frame is allocated once at its final size (no growth, no
+  // copy out of a scratch buffer), and the cached exporter's full fallback
+  // ships the same bytes as the plain encoder.
   DriftingExporter source(256, 13);
   const LetTree let = source.step_export();
-  std::vector<std::uint8_t> scratch;
-  const std::vector<std::uint8_t> a = wire::encode_let_scratch({2, let, 0.5, 0}, scratch);
-  const std::size_t cap = scratch.capacity();
-  EXPECT_EQ(a, wire::encode_let({2, let, 0.5, 0}));
-  // A second encode reuses the buffer's capacity instead of growing anew.
-  const std::vector<std::uint8_t> b = wire::encode_let_scratch({2, let, 0.5, 0}, scratch);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(scratch.capacity(), cap);
+  const std::vector<std::uint8_t> a = wire::encode_let({2, let, 0.5, 0});
+  EXPECT_EQ(a.capacity(), a.size());
+  wire::LetCacheEntry send;
+  const wire::LetEncodeResult first = wire::encode_let_cached({2, let, 0.5, 0}, send, 0.75);
+  ASSERT_FALSE(first.is_delta);
+  EXPECT_EQ(first.frame, a);
+  EXPECT_EQ(first.full_bytes, a.size());
+  EXPECT_EQ(first.frame.capacity(), first.frame.size());
 }
 
 TEST(LetDelta, ConfigCarriesLetCacheKnobs) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "tree/particle.hpp"
 #include "util/random.hpp"
@@ -250,6 +252,88 @@ TEST(Octree, DepthGrowsWithClustering) {
   Octree tight_tree;
   tight_tree.build(tight, 16);
   EXPECT_GT(tight_tree.max_depth(), spread.tree.max_depth());
+}
+
+// ---- the (key, id) radix sort ------------------------------------------------
+
+// The order the radix sort must reproduce: (key, id), input order last.
+std::vector<std::uint32_t> comparator_order(const std::vector<sfc::Key>& keys,
+                                            const std::vector<std::uint64_t>& ids) {
+  std::vector<std::uint32_t> perm(keys.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::stable_sort(perm.begin(), perm.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return keys[a] < keys[b] || (keys[a] == keys[b] && ids[a] < ids[b]);
+  });
+  return perm;
+}
+
+TEST(RadixSort, MatchesKeyIdComparator) {
+  Xoshiro256 rng(157);
+  struct Case {
+    const char* name;
+    std::vector<sfc::Key> keys;
+    std::vector<std::uint64_t> ids;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"empty", {}, {}});
+  cases.push_back({"one", {sfc::kKeyEnd - 1}, {7}});
+  {
+    // All keys equal, ids descending: the whole input is one tie run.
+    Case c{"all-equal keys, descending ids", {}, {}};
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      c.keys.push_back(0x123456789ull);
+      c.ids.push_back(3000 - i);
+    }
+    cases.push_back(c);
+  }
+  {
+    // Keys over the whole 63-bit range (bit 62 set in about half), with
+    // duplicates of both keys and ids, and ids using bit 63.
+    Case c{"full-range keys", {}, {}};
+    for (int i = 0; i < 5000; ++i) {
+      const sfc::Key k = rng() & (sfc::kKeyEnd - 1);
+      c.keys.push_back(i % 7 == 0 && i > 0 ? c.keys[static_cast<std::size_t>(i) / 2] : k);
+      c.ids.push_back(i % 5 == 0 ? std::uint64_t{42} : rng());
+    }
+    cases.push_back(c);
+  }
+  {
+    // A narrow key interval (one rank's domain): most digits are shared and
+    // their passes skipped.
+    Case c{"narrow interval", {}, {}};
+    for (int i = 0; i < 4000; ++i) {
+      c.keys.push_back((sfc::Key{1} << 62) + (rng() & 0xFFFFF));
+      c.ids.push_back(static_cast<std::uint64_t>(4000 - i));
+    }
+    cases.push_back(c);
+  }
+  bool saw_bit62 = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const sfc::Key k : c.keys) saw_bit62 |= (k >> 62) & 1;
+    EXPECT_EQ(key_id_order(c.keys, c.ids), comparator_order(c.keys, c.ids));
+  }
+  EXPECT_TRUE(saw_bit62);
+}
+
+TEST(RadixSort, SortByKeysOrdersTheWholeSet) {
+  ParticleSet parts = random_cloud(2500, 159);
+  for (std::size_t i = 0; i < parts.size(); ++i) parts.id[i] = parts.size() - i;
+  const ParticleSet before = parts;
+  const sfc::KeySpace space(parts.bounds());
+  const std::vector<std::uint32_t> perm = sort_by_keys(parts, space);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::uint32_t j = perm[i];
+    EXPECT_EQ(parts.key[i], space.key(before.pos(j)));
+    EXPECT_EQ(parts.pos(i), before.pos(j));
+    EXPECT_EQ(parts.vel(i), before.vel(j));
+    EXPECT_EQ(parts.mass[i], before.mass[j]);
+    EXPECT_EQ(parts.id[i], before.id[j]);
+    if (i > 0) {
+      EXPECT_TRUE(parts.key[i - 1] < parts.key[i] ||
+                  (parts.key[i - 1] == parts.key[i] && parts.id[i - 1] < parts.id[i]));
+    }
+  }
 }
 
 }  // namespace

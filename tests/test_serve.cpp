@@ -135,6 +135,50 @@ TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
   EXPECT_THROW(serve::read_snapshot_file(path + ".missing"), std::runtime_error);
 }
 
+TEST(Snapshot, FilesFromOlderWireVersionsLoadSinceTheLayoutChanged) {
+  // A snapshot file keeps the header version it was written at. Files from
+  // the version that last changed the Snapshot bytes on load bit for bit;
+  // one version older fails, naming its version and the accepted range.
+  wire::SnapshotMsg snap;
+  snap.job_id = 3;
+  snap.next_step = 5;
+  snap.sets = {make_plummer(40, 7), make_plummer(25, 8)};
+  snap.sets[1].pot[3] = -1.25;
+  const std::string path = testing::TempDir() + "bonsai-old-version.snap";
+  serve::write_snapshot_file(path, snap);
+
+  const auto write_version = [&](std::uint16_t version) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4);
+    const char bytes[2] = {static_cast<char>(version & 0xFF), static_cast<char>(version >> 8)};
+    f.write(bytes, 2);
+  };
+  write_version(wire::kSnapshotLayoutVersion);
+  const wire::SnapshotMsg back = serve::read_snapshot_file(path);
+  EXPECT_EQ(back.job_id, 3);
+  EXPECT_EQ(back.next_step, 5);
+  ASSERT_EQ(back.sets.size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    expect_same_particles(back.sets[r], snap.sets[r]);
+    EXPECT_EQ(back.sets[r].key, snap.sets[r].key);
+  }
+
+  for (const int bad : {wire::kSnapshotLayoutVersion - 1, wire::kVersion + 1}) {
+    write_version(static_cast<std::uint16_t>(bad));
+    try {
+      serve::read_snapshot_file(path);
+      ADD_FAILURE() << "version " << bad << " must not load";
+    } catch (const wire::WireError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("file version " + std::to_string(bad)), std::string::npos) << what;
+      EXPECT_NE(what.find("accepted versions " + std::to_string(wire::kSnapshotLayoutVersion) +
+                          " to " + std::to_string(wire::kVersion)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(Snapshot, InitialConditionRejectsNonFiniteParticles) {
   wire::SnapshotMsg snap;
   snap.sets = {make_plummer(10, 1), make_plummer(6, 2)};

@@ -401,15 +401,18 @@ TEST(Direct, NewtonThirdLawMomentumConservation) {
 // The walk as it was before the walk array: pop one node, test it with the
 // scalar AABB::min_dist2, stage it through the public queue. The production
 // walk must reproduce it exactly: same stats, bitwise-equal forces.
-InteractionStats reference_walk(const TreeView& src, ParticleSet& targets,
+// Only the queue's staging reads `walk`'s compact columns; the reference
+// walks the TreeView's nodes.
+InteractionStats reference_walk(const WalkTree& walk, ParticleSet& targets,
                                 const TargetGroup& group, const TraversalConfig& config,
                                 bool self, InteractionQueue& queue) {
+  const TreeView& src = walk.src;
   if (src.empty() || group.begin == group.end) return InteractionStats{};
   WalkParams params;
   params.eps2 = config.eps * config.eps;
   params.quadrupole = config.quadrupole;
   params.self = self;
-  queue.begin_walk(src, targets, params, config.backend, group.begin, group.end);
+  queue.begin_walk(walk, targets, params, config.backend, group.begin, group.end);
   std::vector<std::int32_t> stack;
   stack.push_back(0);
   while (!stack.empty()) {
@@ -617,9 +620,10 @@ TEST(WalkReference, ProductionWalkMatchesStatsAndForcesBitwise) {
         ParticleSet want = c.targets;
         want.zero_forces();
         InteractionQueue ref_queue(c.capacity, isa);
+        const WalkTree ref_walk(c.view(want));
         InteractionStats want_stats;
         for (const TargetGroup& g : c.groups)
-          want_stats += reference_walk(c.view(want), want, g, cfg, c.self, ref_queue);
+          want_stats += reference_walk(ref_walk, want, g, cfg, c.self, ref_queue);
 
         ParticleSet got = c.targets;
         got.zero_forces();
