@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <ostream>
 #include <thread>
@@ -460,22 +459,9 @@ ParticleSet gather_sorted(std::span<const ParticleSet* const> sets) {
   std::size_t total = 0;
   for (const ParticleSet* p : sets) total += p->size();
   out.reserve(total);
-  for (const ParticleSet* set : sets) {
-    const ParticleSet& p = *set;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      out.add(p.get(i));
-      out.ax.back() = p.ax[i];
-      out.ay.back() = p.ay[i];
-      out.az.back() = p.az[i];
-      out.pot.back() = p.pot[i];
-      out.key.back() = p.key[i];
-    }
-  }
-  std::vector<std::uint32_t> perm(out.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return out.id[a] < out.id[b]; });
-  out.apply_permutation(perm);
+  for (const ParticleSet* set : sets) out.append(*set);
+  // Id order is the (key, id) order with the ids as keys.
+  out.apply_permutation(key_id_order(out.id, out.id));
   return out;
 }
 

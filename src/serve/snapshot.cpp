@@ -52,16 +52,7 @@ ParticleSet flatten_snapshot(const domain::wire::SnapshotMsg& snap) {
   std::size_t total = 0;
   for (const ParticleSet& s : snap.sets) total += s.size();
   out.reserve(total);
-  for (const ParticleSet& s : snap.sets) {
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      out.add(s.get(i));
-      out.ax.back() = s.ax[i];
-      out.ay.back() = s.ay[i];
-      out.az.back() = s.az[i];
-      out.pot.back() = s.pot[i];
-      out.key.back() = s.key[i];
-    }
-  }
+  for (const ParticleSet& s : snap.sets) out.append(s);
   return out;
 }
 

@@ -57,20 +57,24 @@ TEST(ThreadPool, ParallelForFromAnotherPoolsWorkerStillDispatches) {
 }
 
 TEST(ThreadPool, CallerRunsChunksBesideTheWorkers) {
-  // The calling thread is one of the loop's runners: with one worker, the
-  // chunks land on exactly two threads, the caller included.
+  // Two items, one worker that holds its item until the caller has run one:
+  // the loop finishes only because the calling thread runs a chunk too.
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> on_caller{0}, count{0};
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> count{0};
   pool.parallel_for(
-      4000,
+      2,
       [&](std::size_t) {
-        if (std::this_thread::get_id() == caller) ++on_caller;
+        if (std::this_thread::get_id() == caller)
+          caller_ran = true;
+        else
+          while (!caller_ran) std::this_thread::yield();
         ++count;
       },
       /*chunk=*/1);
-  EXPECT_EQ(count.load(), 4000);
-  EXPECT_GT(on_caller.load(), 0);
+  EXPECT_TRUE(caller_ran.load());
+  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(ThreadPool, ExceptionOnTheCallerIsRethrownAfterTheWorkersFinish) {
