@@ -403,7 +403,7 @@ void InteractionQueue::stage_cells() {
   const bool quadrupole = params_.quadrupole;
   for (std::size_t s = 0; s < ncell_; ++s) {
     const std::uint32_t node = cell_node_[s];
-    const CellMoments& m = moments[node];
+    const CellMoments m = moments[node];  // a copy: the float stores cannot alias it
     f[0][s] = static_cast<float>(cx[node] - centre_.x);
     f[1][s] = static_cast<float>(cy[node] - centre_.y);
     f[2][s] = static_cast<float>(cz[node] - centre_.z);
