@@ -217,6 +217,9 @@ void splice(ParticleSet& mine, std::size_t self, std::span<const std::uint32_t> 
       const auto& from = arrived[src].*member;
       at = std::copy(from.begin(), from.end(), at);
     }
+    // A rank that gave most of its particles away (the bootstrap scatter, a
+    // rebalance) releases the storage it no longer needs.
+    if (v.capacity() > 2 * total) v.shrink_to_fit();
   };
   column(&ParticleSet::x);
   column(&ParticleSet::y);
@@ -227,7 +230,10 @@ void splice(ParticleSet& mine, std::size_t self, std::span<const std::uint32_t> 
   column(&ParticleSet::mass);
   column(&ParticleSet::id);
   column(&ParticleSet::key);
-  for (auto* forces : {&mine.ax, &mine.ay, &mine.az, &mine.pot}) forces->assign(total, 0.0);
+  for (auto* forces : {&mine.ax, &mine.ay, &mine.az, &mine.pot}) {
+    forces->assign(total, 0.0);
+    if (forces->capacity() > 2 * total) forces->shrink_to_fit();
+  }
 }
 
 }  // namespace
