@@ -10,10 +10,8 @@ namespace bonsai {
 void Device::sort_particles(ParticleSet& parts, const sfc::KeySpace& space) {
   // Key generation is embarrassingly parallel.
   pool_->parallel_for(parts.size(), [&](std::size_t i) { parts.key[i] = space.key(parts.pos(i)); });
-  sort_keyed_particles(parts);
+  sort_by_current_keys(parts);
 }
-
-void Device::sort_keyed_particles(ParticleSet& parts) { sort_by_current_keys(parts); }
 
 void Device::build_tree(const ParticleSet& parts, Octree& tree, int nleaf) {
   tree.build(parts, nleaf);

@@ -59,10 +59,6 @@ class Device {
   // (key, id).
   void sort_particles(ParticleSet& parts, const sfc::KeySpace& space);
 
-  // The same sort on keys the particles already hold (the exchange leaves
-  // every particle keyed through the step's key space).
-  void sort_keyed_particles(ParticleSet& parts);
-
   // "Tree-construction": build the octree over the sorted particles.
   void build_tree(const ParticleSet& parts, Octree& tree,
                   int nleaf = Octree::kDefaultNLeaf);

@@ -209,8 +209,9 @@ void splice(ParticleSet& mine, std::size_t self, std::span<const std::uint32_t> 
     if (v.capacity() < total) v.reserve(total);  // exactly: no growth slack
     v.resize(total);
     const auto stayers = v.begin() + static_cast<std::ptrdiff_t>(before);
-    std::copy_backward(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(stay),
-                       stayers + static_cast<std::ptrdiff_t>(stay));
+    if (before > 0)
+      std::copy_backward(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(stay),
+                         stayers + static_cast<std::ptrdiff_t>(stay));
     auto at = v.begin();
     for (std::size_t src = 0; src < arrived.size(); ++src) {
       if (src == self) at = stayers + static_cast<std::ptrdiff_t>(stay);

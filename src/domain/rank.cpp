@@ -36,7 +36,7 @@ void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown
       for (std::size_t i = 0; i < parts_.size(); ++i)
         BNS_CHECK(parts_.key[i] == space.key(parts_.pos(i)),
                   "rank.build needs the keys the exchange computed through the step's key space");
-    device_.sort_keyed_particles(parts_);
+    sort_by_current_keys(parts_);
   }
   {
     trace::ScopedSpan span("rank.build", id_, id_);
