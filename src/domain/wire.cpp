@@ -98,6 +98,13 @@ class Archive {
     item(v);
   }
 
+  // A value whose description holds no counts, so its wire size is fixed
+  // (a TreeNode): archives that can move it in one piece override this.
+  template <class T>
+  void record(T& v) {
+    item(v);
+  }
+
   // A map travels as its (key, value) pairs in key order.
   template <class K, class V>
   void sequence(std::map<K, V>& m, const char* what) {
@@ -134,6 +141,48 @@ class Archive {
       fields(self(), v);
     }
   }
+};
+
+// --- Fixed-size records ------------------------------------------------------
+// Moves one record's fields through a raw cursor over bytes the Writer or
+// Reader has already bounds-checked for the whole record, whose wire size is
+// fixed (its description holds no counts or arrays; the static_asserts
+// below hold it to that). The cursor is a local the compiler keeps in a
+// register, where the frame cursor must be reloaded after every byte store
+// (a byte store may alias it).
+template <bool Decoding>
+class RecordArchive : public Archive<RecordArchive<Decoding>> {
+ public:
+  static constexpr bool kDecoding = Decoding;
+  using Byte = std::conditional_t<Decoding, const std::uint8_t, std::uint8_t>;
+
+  explicit RecordArchive(Byte* at) : at_(at) {}
+
+  template <class T>
+  void scalar(T& v) {
+    if constexpr (Decoding)
+      std::memcpy(&v, at_, sizeof(T));
+    else
+      std::memcpy(at_, &v, sizeof(T));
+    at_ += sizeof(T);
+  }
+
+  template <class T>
+  void span(std::span<T>) {
+    static_assert(sizeof(T) == 0, "a fixed-size record holds no arrays");
+  }
+
+  template <class C>
+  void resize(C&, std::size_t, std::size_t, const char*) {
+    static_assert(sizeof(C) == 0, "a fixed-size record holds no counts");
+  }
+
+  void require(bool cond, const char* what) {
+    if (Decoding && !cond) throw WireError(std::string("wire decode: ") + what);
+  }
+
+ private:
+  Byte* at_;
 };
 
 // --- Flat little-endian writer ----------------------------------------------
@@ -184,6 +233,16 @@ class Writer : public Archive<Writer> {
     }
   }
 
+  template <class T>
+  [[gnu::flatten]] void record(const T& v) {
+    if constexpr (kHostLittle) {
+      RecordArchive<false> raw(claim(min_size<T>()));
+      raw(v);
+    } else {
+      (*this)(v);
+    }
+  }
+
   template <class C>
   void resize(C& c, std::size_t n, std::size_t, const char*) {
     each(c, [n](auto& x) { BNS_CHECK(x.size() == n, "array length disagrees with its count"); });
@@ -201,11 +260,16 @@ class Writer : public Archive<Writer> {
   }
 
  private:
-  void append(const void* p, std::size_t n) {
-    if (n == 0) return;  // an empty span's data() may be null
+  // The next `n` bytes of the frame, for the caller to fill.
+  std::uint8_t* claim(std::size_t n) {
     if (n > buf_.size() - pos_) buf_.resize(std::max(2 * buf_.size(), pos_ + n));
-    std::memcpy(buf_.data() + pos_, p, n);
+    std::uint8_t* const at = buf_.data() + pos_;
     pos_ += n;
+    return at;
+  }
+
+  void append(const void* p, std::size_t n) {
+    if (n != 0) std::memcpy(claim(n), p, n);  // an empty span's data() may be null
   }
 
   std::vector<std::uint8_t> buf_;
@@ -252,6 +316,16 @@ class Reader : public Archive<Reader> {
     } else {
       Reader sub(s);
       for (T& x : out) x = sub.get<T>();
+    }
+  }
+
+  template <class T>
+  [[gnu::flatten]] void record(T& v) {
+    if constexpr (kHostLittle) {
+      RecordArchive<true> raw(take(min_size<T>()).data());
+      raw(v);
+    } else {
+      (*this)(v);
     }
   }
 
@@ -512,7 +586,7 @@ void fields(Ar& ar, LetMessage& m) {
   ar(m.src, m.export_seconds, nodes, parts);
   ar.resize(let.nodes, nodes, min_size<TreeNode>(), "node count exceeds payload");
   for (std::size_t i = 0; i < let.nodes.size(); ++i) {
-    ar(let.nodes[i]);
+    ar.record(let.nodes[i]);
     if constexpr (Ar::kDecoding) validate_node(let.nodes[i], i, nodes, parts);
   }
   ar.resize(xyzm, parts, row_bytes(xyzm), "particle count exceeds payload");

@@ -90,6 +90,30 @@ TEST(Wire, SingleMultipoleLeafLetRoundTrip) {
   expect_same_let(let, msg.let);
 }
 
+TEST(Wire, UnknownNodeKindIsRejectedByName) {
+  // A node travels as one fixed-size record; its kind byte is still
+  // range-checked. Find that byte as the only one two leaf kinds differ in.
+  LetTree let;
+  let.nodes.emplace_back();
+  let.nodes[0].kind = NodeKind::kParticleLeaf;
+  const std::vector<std::uint8_t> particle_leaf = wire::encode_let({0, let, 0.0, 0});
+  let.nodes[0].kind = NodeKind::kMultipoleLeaf;
+  std::vector<std::uint8_t> frame = wire::encode_let({0, let, 0.0, 0});
+  ASSERT_EQ(frame.size(), particle_leaf.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < frame.size(); ++i)
+    if (frame[i] != particle_leaf[i]) differ.push_back(i);
+  ASSERT_EQ(differ.size(), 1u);
+
+  frame[differ[0]] = 7;
+  try {
+    wire::decode_let(frame);
+    FAIL() << "an unknown node kind must throw";
+  } catch (const wire::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown node kind"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Wire, RealLetRoundTripsBitForBit) {
   const LetTree let = make_real_let();
   ASSERT_GT(let.num_cells(), 1u);
